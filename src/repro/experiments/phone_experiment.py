@@ -24,15 +24,11 @@ from repro.analysis.manifest import StudyCollector
 from repro.apps.catalog import Corpus, build_phone_corpus
 from repro.experiments.config import QUICK, ExperimentConfig
 from repro.farm import (
-    DEFAULT_POLICY,
-    ShardPoisonedError,
     StudyHealthReport,
-    SupervisionPolicy,
-    absorb_telemetry,
     merge_collectors,
     merge_summaries,
     plan_shards,
-    supervise_shards,
+    run_shards,
 )
 from repro.qgj.campaigns import Campaign
 from repro.qgj.results import FuzzSummary
@@ -71,16 +67,6 @@ def run_phone_study(
     deadline, bounded retries, and -- with *allow_partial* -- poison
     quarantine with a degraded study instead of an aborted one.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    policy = SupervisionPolicy(
-        max_attempts=(
-            max_shard_attempts
-            if max_shard_attempts is not None
-            else DEFAULT_POLICY.max_attempts
-        ),
-        shard_timeout_s=shard_timeout,
-    )
     corpus = build_phone_corpus(seed=config.phone_seed)
     if packages is None:
         packages = [app.package.package for app in corpus.apps]
@@ -97,25 +83,20 @@ def run_phone_study(
         sample_seed=live.tracer.sample_seed,
         profile=live.profiler.enabled,
     )
-    run = supervise_shards(
+    run = run_shards(
         specs,
         workers=workers,
-        policy=policy,
-        telemetry_handle=telemetry.get(),
+        shard_timeout=shard_timeout,
+        max_shard_attempts=max_shard_attempts,
+        allow_partial=allow_partial,
+        telemetry_handle=live,
     )
-    if run.health.poisoned() and not allow_partial:
-        raise ShardPoisonedError(run.health)
-    results = [result for result in run.results if result is not None]
-    if not results:
-        raise ShardPoisonedError(run.health)
-    if workers != 1:
-        absorb_telemetry(telemetry.get(), results)
     return PhoneStudyResult(
-        collector=merge_collectors(results),
-        summary=merge_summaries(results),
+        collector=merge_collectors(run.results),
+        summary=merge_summaries(run.results),
         corpus=corpus,
-        phone=results[-1].phone,
+        phone=run.results[-1].phone,
         config=config,
-        shard_clock_ms=tuple(result.clock_ms for result in results),
+        shard_clock_ms=tuple(result.clock_ms for result in run.results),
         health=run.health,
     )

@@ -32,18 +32,13 @@ from repro.analysis.manifest import StudyCollector
 from repro.apps.catalog import Corpus, build_wear_corpus
 from repro.experiments.config import QUICK, ExperimentConfig
 from repro.farm import (
-    DEFAULT_POLICY,
-    ShardPoisonedError,
     StudyHealthReport,
     StudyManifest,
-    SupervisionPolicy,
-    absorb_telemetry,
     merge_collectors,
     merge_summaries,
     plan_shards,
-    supervise_shards,
+    run_shards,
 )
-from repro.faults.journal import KillSwitch
 from repro.qgj.campaigns import Campaign
 from repro.qgj.results import FuzzSummary
 from repro.wear.device import PhoneDevice, WearDevice
@@ -115,24 +110,12 @@ def run_wear_study(
     *allow_partial* -- is quarantined while the study completes degraded,
     with the dropped coverage itemized in ``result.health``.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    kill_switch = (
-        KillSwitch(kill_after_injections) if kill_after_injections is not None else None
-    )
-    policy = SupervisionPolicy(
-        max_attempts=(
-            max_shard_attempts
-            if max_shard_attempts is not None
-            else DEFAULT_POLICY.max_attempts
-        ),
-        shard_timeout_s=shard_timeout,
-    )
     manifest = StudyManifest(journal_path) if journal_path is not None else None
     if resume:
         if manifest is None:
             raise ValueError("resume=True requires journal_path")
         header = manifest.validate_resume(
+            study="wear",
             config=config.name,
             fault_fingerprint=faults.fingerprint(),
             workers=workers,
@@ -160,6 +143,7 @@ def run_wear_study(
     )
     if manifest is not None and not resume:
         manifest.start(
+            study="wear",
             config=config.name,
             fault_fingerprint=faults.fingerprint(),
             packages=list(packages),
@@ -167,28 +151,23 @@ def run_wear_study(
             workers=workers,
             shards=specs,
         )
-    run = supervise_shards(
+    run = run_shards(
         specs,
         workers=workers,
-        policy=policy,
-        kill_switch=kill_switch,
-        telemetry_handle=telemetry.get(),
+        kill_after_injections=kill_after_injections,
+        shard_timeout=shard_timeout,
+        max_shard_attempts=max_shard_attempts,
+        allow_partial=allow_partial,
+        telemetry_handle=live,
     )
-    if run.health.poisoned() and not allow_partial:
-        raise ShardPoisonedError(run.health)
-    results = [result for result in run.results if result is not None]
-    if not results:
-        raise ShardPoisonedError(run.health)
-    if workers != 1:
-        absorb_telemetry(telemetry.get(), results)
-    last = results[-1]
+    last = run.results[-1]
     return WearStudyResult(
-        collector=merge_collectors(results),
-        summary=merge_summaries(results),
+        collector=merge_collectors(run.results),
+        summary=merge_summaries(run.results),
         corpus=corpus,
         watch=last.watch,
         phone=last.phone,
         config=config,
-        shard_clock_ms=tuple(result.clock_ms for result in results),
+        shard_clock_ms=tuple(result.clock_ms for result in run.results),
         health=run.health,
     )

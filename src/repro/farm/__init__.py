@@ -15,14 +15,16 @@ evidence.  This package is that farm for the simulator:
   (:class:`~repro.android.runtime.RuntimeContext`), runs the shard's
   ``(package, campaign)`` segments, and returns a picklable
   :class:`ShardResult`;
-* :mod:`repro.farm.pool` -- :func:`run_shards`: ``workers=1`` runs shards
-  sequentially in-process (deterministic reference path, live telemetry,
-  kill-switch support); ``workers>1`` fans out across worker processes,
-  supervised by default;
-* :mod:`repro.farm.supervisor` -- :func:`supervise_shards`: the supervised
-  executor behind ``workers>1`` -- per-shard deadlines and heartbeat
-  liveness, bounded bit-identical retries (journalled shards resume from
-  their checkpoint), poison quarantine with an explicit
+* :mod:`repro.farm.pool` -- :func:`run_shards`: the one study driver every
+  study kind (wear, phone, fleet, guided) runs its shards through -- kill
+  switch, supervision policy, poison / ``allow_partial`` checks and
+  telemetry absorption in one place; ``workers=1`` runs shards
+  sequentially in-process (deterministic reference path, live telemetry),
+  ``workers>1`` across supervised worker processes;
+* :mod:`repro.farm.supervisor` -- :func:`supervise_shards`: the executor
+  behind the driver -- per-shard deadlines and heartbeat liveness, bounded
+  bit-identical retries (journalled shards resume from their checkpoint),
+  poison quarantine with an explicit
   :class:`~repro.farm.health.StudyHealthReport`, a shared ``--kill-after``
   switch, and graceful SIGINT/SIGTERM drain;
 * :mod:`repro.farm.health` -- the supervision vocabulary: attempt/shard
@@ -33,8 +35,8 @@ evidence.  This package is that farm for the simulator:
   :meth:`StudyCollector.merge`, metrics/span absorption), skipping the
   holes poisoned shards leave behind;
 * :mod:`repro.farm.journal` -- :class:`StudyManifest`: one manifest over
-  per-shard checkpoint journals, validating config / fault plan / worker
-  count on resume.
+  per-shard checkpoint journals, validating study kind / config / fault
+  plan / worker count on resume.
 
 **Determinism contract.**  Every shard starts its own virtual clock at
 zero and is seeded from its spec alone, so the merged study is bit-identical
@@ -49,8 +51,6 @@ from __future__ import annotations
 
 from repro.farm.health import (
     CrashPolicy,
-    ShardFailedError,
-    ShardFailure,
     ShardPoisonedError,
     StudyHealthReport,
     StudyInterrupted,
@@ -76,8 +76,6 @@ from repro.farm.supervisor import (
 __all__ = [
     "CrashPolicy",
     "DEFAULT_POLICY",
-    "ShardFailedError",
-    "ShardFailure",
     "ShardPoisonedError",
     "ShardResult",
     "ShardSpec",

@@ -75,25 +75,6 @@ class ShardPoisonedError(RuntimeError):
         self.health = health
 
 
-class ShardFailedError(RuntimeError):
-    """Legacy (unsupervised) pool path: one or more shards raised.
-
-    Unlike the bare ``Pool.map`` traceback this used to be, the error names
-    every failed shard's key and keeps the shards that *did* complete on
-    ``.completed``, so the runner can report which package's shard died.
-    """
-
-    def __init__(self, failures: Sequence["ShardFailure"], completed=()) -> None:
-        keys = ", ".join(f.key or "<empty>" for f in failures)
-        first = failures[0]
-        super().__init__(
-            f"{len(failures)} shard(s) failed in the worker pool: {keys}\n"
-            f"first failure ({first.key}):\n{first.detail}"
-        )
-        self.failures = list(failures)
-        self.completed = list(completed)
-
-
 class StudyInterrupted(RuntimeError):
     """The supervisor drained on SIGINT/SIGTERM before every shard finished.
 
@@ -225,18 +206,6 @@ class WorkerHeartbeat:
 
 
 @dataclasses.dataclass
-class ShardFailure:
-    """One failed shard attempt, picklable so it can cross the pool."""
-
-    index: int
-    key: str
-    attempt: int
-    kind: str          # an OUTCOME_* value
-    detail: str = ""   # formatted traceback or supervisor diagnosis
-    elapsed_s: float = 0.0
-
-
-@dataclasses.dataclass
 class AttemptRecord:
     """One dispatch of one shard, as the supervisor saw it."""
 
@@ -319,9 +288,6 @@ class StudyHealthReport:
         )
 
     # -- aggregates ---------------------------------------------------------------
-    def shard(self, index: int) -> ShardHealth:
-        return self.shards[index]
-
     def poisoned(self) -> List[ShardHealth]:
         return [s for s in self.shards if s.outcome == SHARD_POISONED]
 

@@ -7,9 +7,10 @@ facts once -- config, fault-plan fingerprint, package list, campaigns, and
 the worker count -- plus the shard table mapping each shard to its own
 ``<manifest>.shard-NNN`` checkpoint journal.
 
-Resume validation happens here, before any shard is spawned: a journal
-recorded under a different config, a different fault plan, or a different
-``--workers`` count is rejected with an error saying exactly what to change.
+Resume validation happens here, before any shard is spawned or any file is
+touched: a journal recorded by a different study kind, under a different
+config, a different fault plan, or a different ``--workers`` count is
+rejected with an error saying exactly what to change.
 The worker count is part of the contract not for determinism (results are
 worker-count independent) but because a kill under ``workers=1`` may leave
 a shared kill-switch mid-shard state that a parallel resume could not have
@@ -19,7 +20,7 @@ wall-clock bookkeeping in the bench artifacts lie.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.faults.journal import CheckpointJournal
 
@@ -39,6 +40,7 @@ class StudyManifest:
     def start(
         self,
         *,
+        study: str,
         config: str,
         fault_fingerprint: str,
         packages: Sequence[str],
@@ -49,13 +51,15 @@ class StudyManifest:
     ) -> None:
         """Write the manifest header (truncating any previous manifest).
 
-        *extra* carries study-kind specific facts (the fleet study records
-        its fleet size, cohort spec and lane count here) so a resume can
+        *study* is the study kind that owns the shard journals.  *extra*
+        carries kind-specific facts (the fleet study records its fleet
+        size, cohort spec and lane count here) so a resume can
         rebuild the exact plan without the operator repeating the flags.
         """
         header = {
             "kind": "study-manifest",
             "manifest_version": MANIFEST_VERSION,
+            "study": study,
             "config": config,
             "fault_fingerprint": fault_fingerprint,
             "packages": list(packages),
@@ -78,14 +82,22 @@ class StudyManifest:
     def header(self) -> Dict[str, Any]:
         return self._journal.header()
 
-    def shard_table(self) -> List[Dict[str, Any]]:
-        return list(self.header().get("shards", []))
-
     def validate_resume(
-        self, *, config: str, fault_fingerprint: str, workers: int
+        self, *, study: str, config: str, fault_fingerprint: str, workers: int
     ) -> Dict[str, Any]:
-        """Check the manifest matches the live run; return its header."""
+        """Check the manifest matches the live run; return its header.
+
+        The study kind is checked first: resuming another kind's manifest
+        would overwrite its shard journals.  A header without a kind was
+        written by a wear study.
+        """
         header = self.header()
+        recorded_study = header.get("study", "wear")
+        if recorded_study != study:
+            raise ValueError(
+                f"journal {self.path} was recorded by a {recorded_study!r} "
+                f"study, not a {study} study"
+            )
         if header.get("config") != config:
             raise ValueError(
                 f"journal {self.path} was recorded under config "

@@ -1,42 +1,40 @@
-"""Shard execution facade: sequential, supervised, or the legacy bare pool.
+"""The one study driver: every study kind runs its shards through here.
+
+:func:`run_shards` owns the glue every study shares between planning its
+shards and merging them: the kill switch, the
+:class:`~repro.farm.supervisor.SupervisionPolicy` built from the study's
+``shard_timeout`` / ``max_shard_attempts`` knobs, the supervised run
+itself, the poison / ``allow_partial`` / empty-result checks, and folding
+worker-local telemetry home.  A study driver is left with plan -> run ->
+merge.
 
 ``workers=1`` is the deterministic reference path: shards run one after
 another in this process, against the live telemetry handle (so heartbeats
-stream and ``dumpsys telemetry`` works mid-run) and an optional kill-switch
-that counts injections across the whole study.  ``workers>1`` fans the same
-specs out across worker processes; each worker builds everything from its
-picklable spec, so the merged study is bit-identical to the sequential one
--- parallelism only changes wall-clock, never results.
-
-By default ``workers>1`` runs under the :mod:`repro.farm.supervisor`
-executor (deadlines, heartbeat liveness, bounded retries, poison
-quarantine, shared kill switch, graceful drain).  ``supervised=False``
-keeps the original bare ``Pool.map`` for comparison; even that path now
-wraps per-shard failures so a dead worker names *which* package's shard it
-lost instead of discarding every completed shard behind an opaque
-``MaybeEncodingError``.
-
-``fork`` is preferred where available (Linux): workers inherit the loaded
-modules instead of re-importing the world, and shard specs stay cheap to
-ship.  Both paths preserve spec order, which the merge layer relies on for
-shard-ordered concatenation.
+stream and ``dumpsys telemetry`` works mid-run) and a kill switch that
+counts injections across the whole study.  ``workers>1`` fans the same
+specs out across supervised worker processes (deadlines, heartbeat
+liveness, bounded retries, poison quarantine, shared kill switch,
+graceful drain); each worker builds everything from its picklable spec,
+so the merged study is bit-identical to the sequential one -- parallelism
+only changes wall-clock, never results.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import traceback
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from repro.farm.health import ShardFailedError, ShardFailure, ShardPoisonedError
-from repro.farm.shard import ShardResult, ShardSpec, run_shard
-from repro.farm.supervisor import SupervisionPolicy, mp_context, supervise_shards
+from repro.farm.health import ShardPoisonedError
+from repro.farm.merge import absorb_telemetry
+from repro.farm.shard import ShardSpec
+from repro.farm.supervisor import (
+    DEFAULT_POLICY,
+    SupervisedRun,
+    SupervisionPolicy,
+    supervise_shards,
+)
 from repro.faults.journal import KillSwitch
-
-
-def _pool_context():
-    return mp_context()
 
 
 def resolve_workers(workers: Union[int, str], units: Optional[int] = None) -> int:
@@ -72,73 +70,52 @@ def resolve_workers(workers: Union[int, str], units: Optional[int] = None) -> in
     return count
 
 
-def _run_shard_guarded(spec: ShardSpec):
-    """Legacy-pool wrapper: turn a worker exception into a typed result.
-
-    A bare ``Pool.map`` surfaces a worker exception by re-raising it in the
-    parent *after* discarding every other shard's result.  Shipping the
-    failure as a value instead lets the parent keep the completed shards
-    and report exactly which spec died.
-    """
-    try:
-        return run_shard(spec)
-    except BaseException:
-        return ShardFailure(
-            index=spec.index,
-            key=spec.key,
-            attempt=1,
-            kind="exception",
-            detail=traceback.format_exc(),
-        )
-
-
 def run_shards(
     specs: Sequence[ShardSpec],
     workers: int = 1,
-    kill_switch: Optional[KillSwitch] = None,
+    *,
+    kill_after_injections: Optional[int] = None,
+    shard_timeout: Optional[float] = None,
+    max_shard_attempts: Optional[int] = None,
+    allow_partial: bool = False,
     telemetry_handle=None,
-    policy: Optional[SupervisionPolicy] = None,
-    supervised: bool = True,
-) -> List[ShardResult]:
-    """Run every shard and return results in spec order.
+) -> SupervisedRun:
+    """Run every shard of one study; return the completed results.
 
-    Raises :class:`ShardPoisonedError` (supervised path) when any shard
-    exhausts its attempts, or :class:`ShardFailedError` (legacy path) when
-    a worker raised -- both name the shards they lost.  Use
-    :func:`repro.farm.supervisor.supervise_shards` directly to get partial
-    results plus the health report instead of an exception.
+    ``results`` on the returned run are the completed shards in spec order
+    (a quarantined shard leaves no hole); ``health`` accounts for every
+    shard.  Raises :class:`ShardPoisonedError` when a shard failed every
+    attempt and *allow_partial* is off, or when no shard completed at all.
+    *kill_after_injections* arms a study-wide kill switch (shared across
+    worker processes) that raises
+    :class:`~repro.faults.errors.CampaignKilled`.  *telemetry_handle* is
+    the live handle: ``workers=1`` shards record straight onto it and
+    worker shards' telemetry is absorbed into it; ``None`` gives every
+    shard a private handle at any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    specs = list(specs)
-    if workers == 1:
-        return [
-            run_shard(spec, kill_switch=kill_switch, telemetry_handle=telemetry_handle)
-            for spec in specs
-        ]
-    if not specs:
-        return []
-    if supervised:
-        run = supervise_shards(
-            specs,
-            workers=workers,
-            policy=policy,
-            kill_switch=kill_switch,
-            telemetry_handle=telemetry_handle,
-        )
-        if run.health.poisoned():
-            raise ShardPoisonedError(run.health)
-        return [result for result in run.results if result is not None]
-    if kill_switch is not None:
-        raise ValueError(
-            "the legacy pool cannot share a kill switch across workers; "
-            "use the supervised executor (supervised=True)"
-        )
-    processes = min(workers, len(specs))
-    with _pool_context().Pool(processes=processes) as pool:
-        outputs = pool.map(_run_shard_guarded, specs)
-    failures = [out for out in outputs if isinstance(out, ShardFailure)]
-    if failures:
-        completed = [out for out in outputs if not isinstance(out, ShardFailure)]
-        raise ShardFailedError(failures, completed=completed)
-    return outputs
+    kill_switch = (
+        KillSwitch(kill_after_injections) if kill_after_injections is not None else None
+    )
+    policy = SupervisionPolicy(
+        max_attempts=(
+            max_shard_attempts
+            if max_shard_attempts is not None
+            else DEFAULT_POLICY.max_attempts
+        ),
+        shard_timeout_s=shard_timeout,
+    )
+    run = supervise_shards(
+        specs,
+        workers=workers,
+        policy=policy,
+        kill_switch=kill_switch,
+        telemetry_handle=telemetry_handle,
+    )
+    results = [result for result in run.results if result is not None]
+    if not results or (run.health.poisoned() and not allow_partial):
+        raise ShardPoisonedError(run.health)
+    if workers > 1:
+        absorb_telemetry(telemetry_handle, results)
+    return SupervisedRun(results, run.health)

@@ -10,6 +10,12 @@ and (in worker processes) its own telemetry handle, runs the shard's
 whole determinism argument: a shard cannot observe which worker ran it,
 what ran before it, or how many siblings it has.
 
+Every study kind shares the skeleton: :func:`run_shard` scopes the
+telemetry handle and fault plane, one rig builder sets up the devices the
+kind needs, and the kind's body runs on them -- wear and phone through
+the same segment loop, guided through its block runner, fleet through its
+lane scheduler.
+
 Checkpointing is per shard: each shard keeps its own
 :class:`~repro.faults.journal.CheckpointJournal` segment file and snapshot
 under the study manifest, and resuming a shard restores the snapshot,
@@ -74,7 +80,7 @@ SNAPSHOT_VERSION = 3
 class ShardSpec:
     """Everything a worker needs to run one shard, picklable by design."""
 
-    study: str                          # "wear" | "phone"
+    study: str                          # "wear" | "phone" | "guided" | "fleet"
     index: int                          # position in the study's shard plan
     key: str                            # shard identity (the package name)
     packages: Tuple[str, ...]
@@ -181,14 +187,16 @@ def run_shard(
     boundary, and the attempt number drives the deterministic worker-crash
     injector (spec- or env-triggered; see :mod:`repro.farm.health`).
     """
+    body = _SHARD_BODIES.get(spec.study)
+    if body is None:
+        raise ValueError(f"unknown shard study kind: {spec.study!r}")
     owns_handle = telemetry_handle is None
     handle = _fresh_handle(spec) if owns_handle else telemetry_handle
     # Both paths reset the sampling phase here: every shard samples from a
     # fresh count whether it runs in-process or on a worker-local tracer,
     # which is what keeps the merged trace identical at any worker count.
     handle.tracer.begin_shard()
-    if heartbeat is not None:
-        heartbeat.beat()
+    _beat(heartbeat)
     # Bind explicitly even when no plan is armed: a forked worker inherits
     # the parent's module globals, and the fallback would leak the study
     # plane's (unsharded) schedule into the shard.
@@ -198,16 +206,7 @@ def run_shard(
         else NOOP_PLANE
     )
     runtime = RuntimeContext(fault_plane=plane, telemetry_handle=handle)
-    if spec.study == "wear":
-        result = _run_wear_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt)
-    elif spec.study == "phone":
-        result = _run_phone_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt)
-    elif spec.study == "guided":
-        result = _run_guided_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt)
-    elif spec.study == "fleet":
-        result = _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt)
-    else:
-        raise ValueError(f"unknown shard study kind: {spec.study!r}")
+    result = body(spec, handle, plane, runtime, kill_switch, heartbeat, attempt)
     if owns_handle and handle.enabled:
         handle.flush()  # drain batched handles before the registry pickles
         result.metrics = handle.metrics
@@ -229,11 +228,12 @@ def _load_shard_state(journal: CheckpointJournal):
     return state
 
 
-def _crash_policy(spec: ShardSpec) -> Optional[CrashPolicy]:
-    """The shard's crash injection, spec field first, then the env hook."""
-    if spec.crash is not None:
-        return spec.crash
-    return crash_for(spec.key)
+def _maybe_crash(spec: ShardSpec, attempt: int, segment: int) -> None:
+    """Fire the shard's injected crash (spec field first, then the env
+    hook) if it is armed for this attempt and segment."""
+    crash = spec.crash if spec.crash is not None else crash_for(spec.key)
+    if crash is not None and crash.triggers(attempt, segment):
+        crash.fire(spec.key, attempt, segment)
 
 
 def _beat(heartbeat: Optional[WorkerHeartbeat]) -> None:
@@ -241,9 +241,57 @@ def _beat(heartbeat: Optional[WorkerHeartbeat]) -> None:
         heartbeat.beat()
 
 
-def _run_wear_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
+def _study_span(handle: Telemetry, clock, spec: ShardSpec):
+    if not handle.enabled:
+        return contextlib.nullcontext()
+    return handle.tracer.span(
+        "study", clock=clock, study=spec.study, config=spec.config.name, shard=spec.key
+    )
+
+
+def _build_rig(spec: ShardSpec, runtime: RuntimeContext, kill_switch):
+    """The shard's corpus, devices and fuzzer, chosen by ``spec.study``.
+
+    The phone study fuzzes a lone Nexus 6; every other kind fuzzes a
+    Moto 360 paired with a Nexus 4, with QGJ deployed on both devices as
+    in the paper's setup.  Returns ``(corpus, watch, phone, fuzzer)`` with
+    ``watch`` ``None`` for the phone study.
+    """
     config = spec.config
-    crash = _crash_policy(spec)
+    if spec.study == "phone":
+        corpus = build_phone_corpus(seed=config.phone_seed)
+        watch = None
+        phone = PhoneDevice(
+            "nexus6",
+            model="Nexus 6",
+            logcat_capacity=config.logcat_capacity,
+            runtime=runtime,
+        )
+        target, sender = phone, QGJ_MOBILE_PACKAGE
+    else:
+        corpus = build_wear_corpus(seed=config.corpus_seed)
+        watch = WearDevice(
+            "moto360", logcat_capacity=config.logcat_capacity, runtime=runtime
+        )
+        phone = PhoneDevice("nexus4", model="LG Nexus 4", runtime=runtime)
+        pair(phone, watch)
+        target, sender = watch, QGJ_WEAR_PACKAGE
+    corpus.install(target)
+    if watch is not None:
+        deploy(phone, watch)
+    fuzzer = FuzzerLibrary(target, sender_package=sender, kill_switch=kill_switch)
+    return corpus, watch, phone, fuzzer
+
+
+def _run_segment_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
+    """A wear or phone shard: the paper's per-app rhythm, segment by segment.
+
+    Each ``(package, campaign)`` segment is fuzz, pull the log, fold it,
+    clear the buffer; with a journal, every completed segment is appended
+    and the whole shard snapshotted, so a resume continues at the next
+    segment.
+    """
+    config = spec.config
     journal = (
         CheckpointJournal(spec.journal_path) if spec.journal_path is not None else None
     )
@@ -262,12 +310,13 @@ def _run_wear_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attemp
         collector = state["collector"]
         summary = state["summary"]
         fuzzer = state["fuzzer"]
+        device = watch if watch is not None else phone
         # The device tree unpickles with an empty RuntimeContext (shared
         # across the tree by the pickle memo); rebind it to this shard's
         # scoped plane and handle, then adopt the captured fault stream.
-        watch.runtime.bind_faults(plane)
-        watch.runtime.bind_telemetry(handle)
-        plane.adopt(watch.clock, state["plane"])
+        device.runtime.bind_faults(plane)
+        device.runtime.bind_telemetry(handle)
+        plane.adopt(device.clock, state["plane"])
         fuzzer.kill_switch = kill_switch
         start_index = state["index"]
         if start_index >= len(segments):
@@ -280,22 +329,13 @@ def _run_wear_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attemp
                 collector=collector,
                 watch=watch,
                 phone=phone,
-                clock_ms=watch.clock.now_ms(),
+                clock_ms=device.clock.now_ms(),
             )
     else:
-        corpus = build_wear_corpus(seed=config.corpus_seed)
-        watch = WearDevice(
-            "moto360", logcat_capacity=config.logcat_capacity, runtime=runtime
-        )
-        phone = PhoneDevice("nexus4", model="LG Nexus 4", runtime=runtime)
-        pair(phone, watch)
-        corpus.install(watch)
-        deploy(phone, watch)  # QGJ on both devices, as in the paper's setup
+        corpus, watch, phone, fuzzer = _build_rig(spec, runtime, kill_switch)
+        device = watch if watch is not None else phone
         collector = StudyCollector(corpus.packages())
-        fuzzer = FuzzerLibrary(
-            watch, sender_package=QGJ_WEAR_PACKAGE, kill_switch=kill_switch
-        )
-        summary = FuzzSummary(device=watch.name)
+        summary = FuzzSummary(device=device.name)
         start_index = 0
         if journal is not None:
             # Also on resume-with-no-snapshot: the kill landed before this
@@ -310,37 +350,25 @@ def _run_wear_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attemp
                     "campaigns": [campaign.value for campaign in spec.campaigns],
                 }
             )
+        _adb_call(device.adb.logcat_clear, device.clock, plane, handle, key=("clear", -1))
 
-    adb = watch.adb
-    if state is None:
-        _adb_call(adb.logcat_clear, watch.clock, plane, handle, key=("clear", -1))
+    adb = device.adb
     if handle.enabled:
-        # The shard's virtual time is its watch's clock from here on.
-        handle.set_clock(watch.clock)
+        # The shard's virtual time is its device's clock from here on.
+        handle.set_clock(device.clock)
     _beat(heartbeat)
-    with contextlib.ExitStack() as stack:
-        if handle.enabled:
-            stack.enter_context(
-                handle.tracer.span(
-                    "study",
-                    clock=watch.clock,
-                    study="wear",
-                    config=config.name,
-                    shard=spec.key,
-                )
-            )
+    with _study_span(handle, device.clock, spec):
         for index in range(start_index, len(segments)):
             package_name, campaign = segments[index]
-            if crash is not None and crash.triggers(attempt, index):
-                crash.fire(spec.key, attempt, index)
+            _maybe_crash(spec, attempt, index)
             app_result = fuzzer.fuzz_app(package_name, campaign, config.fuzz)
             summary.apps.append(app_result)
             log_text = _adb_call(
-                adb.logcat, watch.clock, plane, handle, key=("logs", index)
+                adb.logcat, device.clock, plane, handle, key=("logs", index)
             )
             collector.fold(log_text, package_name, campaign.value)
             _adb_call(
-                adb.logcat_clear, watch.clock, plane, handle, key=("clear", index)
+                adb.logcat_clear, device.clock, plane, handle, key=("clear", index)
             )
             if journal is not None:
                 journal.append(
@@ -362,7 +390,7 @@ def _run_wear_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attemp
                         "collector": collector,
                         "summary": summary,
                         "fuzzer": fuzzer,
-                        "plane": plane.capture(watch.clock),
+                        "plane": plane.capture(device.clock),
                     }
                 )
             _beat(heartbeat)
@@ -373,7 +401,7 @@ def _run_wear_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attemp
         collector=collector,
         watch=watch,
         phone=phone,
-        clock_ms=watch.clock.now_ms(),
+        clock_ms=device.clock.now_ms(),
     )
 
 
@@ -391,36 +419,13 @@ def _run_guided_shard(spec, handle, plane, runtime, kill_switch, heartbeat, atte
         raise ValueError("guided shard needs a GuidedTask on spec.guided")
     if spec.journal_path is not None:
         raise ValueError("the guided study does not support checkpoint journals")
-    config = spec.config
-    crash = _crash_policy(spec)
-    corpus = build_wear_corpus(seed=config.corpus_seed)
-    watch = WearDevice(
-        "moto360", logcat_capacity=config.logcat_capacity, runtime=runtime
-    )
-    phone = PhoneDevice("nexus4", model="LG Nexus 4", runtime=runtime)
-    pair(phone, watch)
-    corpus.install(watch)
-    deploy(phone, watch)
-    fuzzer = FuzzerLibrary(
-        watch, sender_package=QGJ_WEAR_PACKAGE, kill_switch=kill_switch
-    )
+    corpus, watch, phone, fuzzer = _build_rig(spec, runtime, kill_switch)
     if handle.enabled:
         handle.set_clock(watch.clock)
     _beat(heartbeat)
-    if crash is not None and crash.triggers(attempt, 0):
-        crash.fire(spec.key, attempt, 0)
-    with contextlib.ExitStack() as stack:
-        if handle.enabled:
-            stack.enter_context(
-                handle.tracer.span(
-                    "study",
-                    clock=watch.clock,
-                    study="guided",
-                    config=config.name,
-                    shard=spec.key,
-                )
-            )
-        outcomes = run_guided_blocks(fuzzer, spec.guided, config.fuzz)
+    _maybe_crash(spec, attempt, 0)
+    with _study_span(handle, watch.clock, spec):
+        outcomes = run_guided_blocks(fuzzer, spec.guided, spec.config.fuzz)
     _beat(heartbeat)
     return ShardResult(
         index=spec.index,
@@ -434,22 +439,20 @@ def _run_guided_shard(spec, handle, plane, runtime, kill_switch, heartbeat, atte
     )
 
 
-def _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt) -> ShardResult:
+def _run_fleet_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
     """One fleet lane: a cooperative scheduler multiplexing many pairs.
 
     The lane -- not the pair -- is the farm's unit of distribution, so
     supervision (deadline, heartbeat liveness, retry-with-resume, poison
     quarantine) rides along unchanged.  Each pair builds its own scoped
-    fault plane from its spec; the shard-level ``spec.plan`` is unused
-    here by design.
+    fault plane from its spec; the shard-level ``spec.plan``, *plane* and
+    *runtime* are unused here by design.
     """
     from repro.fleet.lane import run_lane  # deferred: farm <-> fleet cycle
 
     if spec.fleet is None:
         raise ValueError("fleet shard needs a pair slice on spec.fleet")
-    crash = _crash_policy(spec)
-    if crash is not None and crash.triggers(attempt, 0):
-        crash.fire(spec.key, attempt, 0)
+    _maybe_crash(spec, attempt, 0)
     summaries = run_lane(
         spec.fleet,
         lane_index=spec.index,
@@ -471,60 +474,10 @@ def _run_fleet_shard(spec, handle, kill_switch, heartbeat, attempt) -> ShardResu
     )
 
 
-def _run_phone_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
-    config = spec.config
-    crash = _crash_policy(spec)
-    if spec.journal_path is not None:
-        raise ValueError("the phone study does not support checkpoint journals")
-    corpus = build_phone_corpus(seed=config.phone_seed)
-    device = PhoneDevice(
-        "nexus6",
-        model="Nexus 6",
-        logcat_capacity=config.logcat_capacity,
-        runtime=runtime,
-    )
-    corpus.install(device)
-    collector = StudyCollector(corpus.packages())
-    fuzzer = FuzzerLibrary(
-        device, sender_package=QGJ_MOBILE_PACKAGE, kill_switch=kill_switch
-    )
-    summary = FuzzSummary(device=device.name)
-    adb = device.adb
-    _adb_call(adb.logcat_clear, device.clock, plane, handle, key=("clear", -1))
-    if handle.enabled:
-        handle.set_clock(device.clock)
-    _beat(heartbeat)
-    segments = [(p, c) for p in spec.packages for c in spec.campaigns]
-    with contextlib.ExitStack() as stack:
-        if handle.enabled:
-            stack.enter_context(
-                handle.tracer.span(
-                    "study",
-                    clock=device.clock,
-                    study="phone",
-                    config=config.name,
-                    shard=spec.key,
-                )
-            )
-        for index, (package_name, campaign) in enumerate(segments):
-            if crash is not None and crash.triggers(attempt, index):
-                crash.fire(spec.key, attempt, index)
-            app_result = fuzzer.fuzz_app(package_name, campaign, config.fuzz)
-            summary.apps.append(app_result)
-            log_text = _adb_call(
-                adb.logcat, device.clock, plane, handle, key=("logs", index)
-            )
-            collector.fold(log_text, package_name, campaign.value)
-            _adb_call(
-                adb.logcat_clear, device.clock, plane, handle, key=("clear", index)
-            )
-            _beat(heartbeat)
-    return ShardResult(
-        index=spec.index,
-        key=spec.key,
-        summary=summary,
-        collector=collector,
-        watch=None,
-        phone=device,
-        clock_ms=device.clock.now_ms(),
-    )
+#: The shard body per study kind; wear and phone share the segment loop.
+_SHARD_BODIES = {
+    "wear": _run_segment_shard,
+    "phone": _run_segment_shard,
+    "guided": _run_guided_shard,
+    "fleet": _run_fleet_shard,
+}

@@ -122,8 +122,9 @@ DEFAULT_POLICY = SupervisionPolicy()
 class SupervisedRun:
     """What supervised execution hands back to the merge layer.
 
-    ``results`` is in spec order with ``None`` holding the place of every
-    poisoned shard; ``health`` is the explicit per-shard account the
+    ``results`` is in spec order; :func:`supervise_shards` leaves ``None``
+    in the place of every poisoned shard, :func:`~repro.farm.pool.run_shards`
+    drops those holes.  ``health`` is the explicit per-shard account the
     experiments attach to their study results.
     """
 

@@ -37,17 +37,12 @@ from repro.analysis.population import (
 )
 from repro.experiments.config import QUICK, ExperimentConfig
 from repro.farm import (
-    DEFAULT_POLICY,
-    ShardPoisonedError,
     ShardSpec,
     StudyHealthReport,
     StudyManifest,
-    SupervisionPolicy,
-    absorb_telemetry,
     merge_fleet,
-    supervise_shards,
+    run_shards,
 )
-from repro.faults.journal import KillSwitch
 from repro.fleet.lane import (
     CRASHES_SITE,
     INTENTS_SENT_SITE,
@@ -179,33 +174,16 @@ def run_fleet_study(
     *kill_after_injections* arms the same study-wide kill switch the other
     studies use (shared across workers at ``workers>1``).
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    kill_switch = (
-        KillSwitch(kill_after_injections) if kill_after_injections is not None else None
-    )
-    policy = SupervisionPolicy(
-        max_attempts=(
-            max_shard_attempts
-            if max_shard_attempts is not None
-            else DEFAULT_POLICY.max_attempts
-        ),
-        shard_timeout_s=shard_timeout,
-    )
     manifest = StudyManifest(journal_path) if journal_path is not None else None
     if resume:
         if manifest is None:
             raise ValueError("resume=True requires journal_path")
         header = manifest.validate_resume(
+            study="fleet",
             config=config.name,
             fault_fingerprint=faults.fingerprint(),
             workers=workers,
         )
-        if header.get("study") != "fleet":
-            raise ValueError(
-                f"journal {manifest.path} was recorded by a "
-                f"{header.get('study', 'wear')!r} study, not a fleet study"
-            )
         fleet_size = int(header["fleet_size"])
         cohorts = str(header["cohorts"])
         lanes = int(header["lanes"])
@@ -244,6 +222,7 @@ def run_fleet_study(
     )
     if manifest is not None and not resume:
         manifest.start(
+            study="fleet",
             config=config.name,
             fault_fingerprint=faults.fingerprint(),
             packages=list(packages),
@@ -251,7 +230,6 @@ def run_fleet_study(
             workers=workers,
             shards=specs,
             extra={
-                "study": "fleet",
                 "fleet_size": fleet_size,
                 "cohorts": cohorts,
                 "lanes": lanes,
@@ -259,20 +237,15 @@ def run_fleet_study(
             },
         )
     _preregister_fleet_series(live, pairs, lanes)
-    run = supervise_shards(
+    run = run_shards(
         specs,
         workers=workers,
-        policy=policy,
-        kill_switch=kill_switch,
+        kill_after_injections=kill_after_injections,
+        shard_timeout=shard_timeout,
+        max_shard_attempts=max_shard_attempts,
+        allow_partial=allow_partial,
         telemetry_handle=live,
     )
-    if run.health.poisoned() and not allow_partial:
-        raise ShardPoisonedError(run.health)
-    results = [result for result in run.results if result is not None]
-    if not results:
-        raise ShardPoisonedError(run.health)
-    if workers != 1:
-        absorb_telemetry(telemetry.get(), results)
     summaries = merge_fleet(run.results)
     return FleetStudyResult(
         summaries=summaries,
@@ -281,6 +254,6 @@ def run_fleet_study(
         fleet_size=fleet_size,
         cohorts=cohorts,
         lanes=lanes,
-        lane_clock_ms=tuple(result.clock_ms for result in results),
+        lane_clock_ms=tuple(result.clock_ms for result in run.results),
         health=run.health,
     )

@@ -246,8 +246,6 @@ def run_guided_study(
     fans each round's package shards out exactly like the blind farm --
     and, per the determinism contract, never changes the result.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     # Imported here, not at module level: the farm's shard layer imports
     # the guided *engine* (to run guided shards), which initializes this
     # package -- a module-level farm import would close that cycle.
@@ -350,9 +348,11 @@ def run_guided_study(
                     guided=task,
                 )
             )
-        results = run_shards(specs, workers=workers)
+        # No live handle: guided shards record on private, disabled handles
+        # at every worker count.
+        run = run_shards(specs, workers=workers)
         by_arm: Dict[ArmKey, BlockOutcome] = {}
-        for shard_result in results:
+        for shard_result in run.results:
             clock_ms += shard_result.clock_ms
             for outcome in shard_result.guided or ():
                 by_arm[(outcome.package, outcome.campaign)] = outcome

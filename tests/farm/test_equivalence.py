@@ -14,7 +14,10 @@ from repro import faults, telemetry
 from repro.experiments.config import QUICK
 from repro.experiments.phone_experiment import run_phone_study
 from repro.experiments.wear_experiment import run_wear_study
+from repro.farm import pool
+from repro.farm.supervisor import supervise_shards
 from repro.faults.plan import FaultPlan
+from repro.guided import GuidedConfig, run_guided_study
 from repro.qgj.campaigns import Campaign
 from repro.telemetry.metrics import INTENTS_INJECTED
 
@@ -22,12 +25,35 @@ from repro.telemetry.metrics import INTENTS_INJECTED
 #: com.runmate.wear is well-behaved.  Together they cross every merge path.
 PACKAGES = ["com.pulsetrack.wear", "com.runmate.wear"]
 CAMPAIGNS = (Campaign.A, Campaign.B)
+PHONE_PACKAGES = ["com.android.settings", "com.android.contacts"]
+GUIDED = GuidedConfig(budget=800, block_size=100, arms_per_round=4)
 
 
 @pytest.fixture(autouse=True)
 def _no_leaked_plane():
     yield
     faults.uninstall()
+
+
+def _run_kind(kind, workers, out):
+    """One small study of *kind*, reduced to its byte-comparable output."""
+    if kind == "wear":
+        return _fingerprint(
+            run_wear_study(QUICK, packages=PACKAGES, campaigns=CAMPAIGNS, workers=workers)
+        )
+    if kind == "phone":
+        return _fingerprint(
+            run_phone_study(
+                QUICK, packages=PHONE_PACKAGES, campaigns=CAMPAIGNS, workers=workers
+            )
+        )
+    result = run_guided_study(QUICK, GUIDED, packages=PACKAGES, workers=workers)
+    result.save(str(out))
+    return (
+        result.render(),
+        (out / "corpus.jsonl").read_bytes(),
+        (out / "schedule.jsonl").read_bytes(),
+    )
 
 
 def _fingerprint(study):
@@ -58,10 +84,9 @@ class TestWorkerCountEquivalence:
         assert _fingerprint(runs[4]) == reference
 
     def test_phone_study_identical_across_workers(self):
-        phone_packages = ["com.android.settings", "com.android.contacts"]
-        serial = run_phone_study(QUICK, packages=phone_packages, campaigns=CAMPAIGNS)
+        serial = run_phone_study(QUICK, packages=PHONE_PACKAGES, campaigns=CAMPAIGNS)
         fanned = run_phone_study(
-            QUICK, packages=phone_packages, campaigns=CAMPAIGNS, workers=2
+            QUICK, packages=PHONE_PACKAGES, campaigns=CAMPAIGNS, workers=2
         )
         assert fanned.summary.to_wire() == serial.summary.to_wire()
         assert fanned.collector.app_campaign == serial.collector.app_campaign
@@ -104,17 +129,35 @@ class TestCrashedWorkerEquivalence:
     the health report can.
     """
 
-    def test_crash_injected_first_attempt_merges_identically(self, monkeypatch):
-        clean = run_wear_study(QUICK, packages=PACKAGES, campaigns=CAMPAIGNS)
-        monkeypatch.setenv("REPRO_FARM_CRASH", "com.pulsetrack.wear=raise@1")
-        crashed = run_wear_study(
-            QUICK, packages=PACKAGES, campaigns=CAMPAIGNS, workers=2
-        )
-        assert _fingerprint(crashed) == _fingerprint(clean)
-        assert crashed.health is not None
-        assert crashed.health.retries_total == 1
-        assert not crashed.health.degraded
-        row = next(s for s in crashed.health.shards if s.key == "com.pulsetrack.wear")
+    @pytest.mark.parametrize(
+        "kind, crash",
+        [
+            ("wear", "com.pulsetrack.wear=raise@1"),
+            ("phone", "com.android.settings=raise@1"),
+            # Guided shards are keyed per round and crash before their
+            # first block: segment 0 of round 0's pulsetrack shard.
+            ("guided", "com.pulsetrack.wear#r0=raise@0"),
+        ],
+    )
+    def test_crash_injected_first_attempt_merges_identically(
+        self, kind, crash, monkeypatch, tmp_path
+    ):
+        clean = _run_kind(kind, workers=1, out=tmp_path / "clean")
+        runs = []
+
+        def spy(*args, **kwargs):
+            run = supervise_shards(*args, **kwargs)
+            runs.append(run)
+            return run
+
+        monkeypatch.setattr(pool, "supervise_shards", spy)
+        monkeypatch.setenv("REPRO_FARM_CRASH", crash)
+        crashed = _run_kind(kind, workers=2, out=tmp_path / "crashed")
+        assert crashed == clean
+        assert sum(run.health.retries_total for run in runs) == 1
+        assert not any(run.health.degraded for run in runs)
+        key = crash.partition("=")[0]
+        row = next(s for run in runs for s in run.health.shards if s.key == key)
         assert [attempt.outcome for attempt in row.attempts] == ["exception", "ok"]
 
     def test_hard_exit_crash_merges_identically(self, monkeypatch):

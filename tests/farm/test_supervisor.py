@@ -1,4 +1,4 @@
-"""The supervised executor: deadlines, retries, poison, drain, legacy pool.
+"""The supervised executor: deadlines, retries, poison, drain.
 
 Worker crashes here are injected deterministically through
 :class:`CrashPolicy` on the shard spec (the env hook is covered by the
@@ -22,7 +22,6 @@ from repro.farm.health import (
     SHARD_OK,
     SHARD_POISONED,
     CrashPolicy,
-    ShardFailedError,
     ShardPoisonedError,
     StudyHealthReport,
     StudyInterrupted,
@@ -85,9 +84,9 @@ class TestRetry:
             telemetry_enabled=False, manifest=manifest,
         )
         manifest.start(
-            config=QUICK.name, fault_fingerprint="none", packages=PACKAGES,
-            campaigns=[c.value for c in (Campaign.A, Campaign.B)], workers=2,
-            shards=specs,
+            study="wear", config=QUICK.name, fault_fingerprint="none",
+            packages=PACKAGES, campaigns=[c.value for c in (Campaign.A, Campaign.B)],
+            workers=2, shards=specs,
         )
         # Crash at segment 1: segment 0 is already durable in the shard
         # journal, so the retry resumes past it rather than restarting.
@@ -176,28 +175,6 @@ class TestPoison:
             OUTCOME_CRASH, OUTCOME_CRASH, OUTCOME_OK,
         ]
         assert not run.health.degraded
-
-
-class TestLegacyPool:
-    def test_unsupervised_failure_names_the_shard_and_keeps_the_rest(self):
-        specs = _with_crash(
-            _specs(campaigns=(Campaign.A,)),
-            "com.pulsetrack.wear",
-            CrashPolicy("raise", segment=0, attempts=99),
-        )
-        with pytest.raises(ShardFailedError, match="com.pulsetrack.wear") as exc_info:
-            run_shards(specs, workers=2, supervised=False)
-        error = exc_info.value
-        assert [f.key for f in error.failures] == ["com.pulsetrack.wear"]
-        assert "InjectedWorkerCrash" in error.failures[0].detail
-        assert [r.key for r in error.completed] == ["com.runmate.wear"]
-
-    def test_legacy_pool_rejects_a_kill_switch(self):
-        from repro.faults.journal import KillSwitch
-
-        with pytest.raises(ValueError, match="supervised"):
-            run_shards(_specs(), workers=2, supervised=False,
-                       kill_switch=KillSwitch(10))
 
 
 class TestDrain:

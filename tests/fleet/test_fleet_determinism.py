@@ -162,3 +162,15 @@ class TestKillResumeIdentity:
         )
         with pytest.raises(ValueError, match="not a fleet study"):
             run_fleet_study(0, config=QUICK, journal_path=journal, resume=True)
+
+    def test_wear_resume_rejects_a_fleet_journal_and_touches_nothing(self, tmp_path):
+        from repro.experiments.wear_experiment import run_wear_study
+
+        journal = str(tmp_path / "fleet.jsonl")
+        run_fleet_study(8, config=TINY, lanes=2, journal_path=journal)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert {"fleet.jsonl.shard-000", "fleet.jsonl.shard-001"} <= set(before)
+        with pytest.raises(ValueError, match="'fleet' study, not a wear study"):
+            run_wear_study(TINY, journal_path=journal, resume=True)
+        after = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        assert after == before
