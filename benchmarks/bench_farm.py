@@ -9,9 +9,9 @@ the crossover lies, not a victory lap.  ``--workers auto`` exists for
 exactly this host: it resolves to 1 and says so.
 
 The ``fleet`` section records the scaling story that *does* work on one
-core -- cooperative lane multiplexing (serial blocking shards vs lanes=8
-vs lanes=32 of the fleet kernel); see ``benchmarks/bench_fleet.py`` for
-the methodology and the CI-gated lanes=16 number.
+core -- sharing one corpus across many pairs (blocking per-pair shards vs
+the fleet at workers=1); see ``benchmarks/bench_fleet.py`` for the
+methodology and the CI-gated speedup.
 
 Run with: ``PYTHONPATH=src python benchmarks/bench_farm.py``
 """
@@ -52,11 +52,11 @@ def main() -> None:
             "workers4_s": sharded,
             "speedup": round(serial / sharded, 3),
         }
-    fleet = measure_fleet(lane_counts=(8, 32))
+    fleet = measure_fleet()
     results["fleet"] = {
         "fleet_size": fleet["fleet_size"],
-        "serial_pairs_per_sec": fleet["serial_pairs_per_sec"],
-        "lanes_pairs_per_sec": fleet["lanes_pairs_per_sec"],
+        "blocking_pairs_per_sec": fleet["blocking_pairs_per_sec"]["median"],
+        "fleet_pairs_per_sec": fleet["fleet_pairs_per_sec"]["median"],
     }
     out = os.path.join(os.path.dirname(__file__), "..", "BENCH_farm.json")
     with open(out, "w") as fh:

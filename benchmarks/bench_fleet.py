@@ -1,24 +1,34 @@
-"""Fleet-kernel throughput: blocking ``run_shard`` vs multiplexed lanes.
+"""Fleet throughput: blocking per-pair shards vs the shared-corpus fleet.
 
-Writes ``BENCH_fleet.json`` at the repo root.  The serial baseline is the
-pre-fleet execution model -- one blocking ``run_shard`` on a fresh device
-pair per pair, each paying its own corpus build, full 46-app install and
-study scaffolding.  The fleet rows run the same pairs through
-``run_fleet_study`` at several lane counts: one process, one shared
-read-only corpus, per-pair package-slice installs.
+Writes ``BENCH_fleet.json`` at the repo root.  Both rows run the same
+96-pair plan:
+
+* ``blocking`` -- the pre-fleet execution model: one blocking
+  ``run_shard`` per pair on a fresh device pair, each paying its own
+  corpus build, full 46-app install and study scaffolding;
+* ``fleet`` -- ``run_fleet_study`` at ``workers=1``: one lane running the
+  pairs one after another over one shared read-only corpus, each pair
+  installing only its own package slice.  Every repeat pays its own
+  corpus build.
 
 The workload is population screening -- one intent per component of one
 package per pair -- because small per-pair budgets are the fleet kernel's
 home turf: the ROADMAP's population question needs many cheap pairs, and
-at small budgets the old model's per-pair setup dominates.  The CI gate
-asserts lanes=16 sustains >=3x the serial pairs/sec on the 1-core bench
-host; this script exits 1 when the gate fails.
+at small budgets the blocking model's per-pair setup dominates.  The two
+rows alternate for ``REPEATS`` rounds in one process; the report records
+each row's median, min and quartiles of pairs/sec plus the host's CPU
+count, Python version and commit.  The gate asserts the fleet row's
+median sustains >=3x the blocking row's; this script exits 1 when it
+fails.
 
 Run with: ``PYTHONPATH=src python benchmarks/bench_fleet.py``
 """
 
 import json
 import os
+import platform
+import statistics
+import subprocess
 import sys
 import time
 
@@ -30,9 +40,10 @@ from repro.fleet.lane import shared_corpus
 from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import FuzzConfig
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 FLEET_SIZE = 96
 CAMPAIGNS = (Campaign.B,)
-GATE_LANES = 16
+REPEATS = 5
 GATE_MIN_SPEEDUP = 3.0
 
 BENCH_CONFIG = ExperimentConfig(
@@ -42,17 +53,19 @@ BENCH_CONFIG = ExperimentConfig(
 )
 
 
-def measure(fleet_size: int = FLEET_SIZE, lane_counts=(8, GATE_LANES, 32)) -> dict:
-    """Measure serial and fleet pairs/sec over the same pair plan."""
-    shared_corpus.cache_clear()
-    corpus = shared_corpus(BENCH_CONFIG.corpus_seed)
-    packages = [app.package.package for app in corpus.apps]
-    pairs = plan_pairs(
-        fleet_size, DEFAULT_COHORT_SPEC, BENCH_CONFIG, packages, CAMPAIGNS
-    )
+def _spread(pairs_per_sec) -> dict:
+    q1, median, q3 = statistics.quantiles(pairs_per_sec, n=4, method="inclusive")
+    return {
+        "median": round(median, 1),
+        "min": round(min(pairs_per_sec), 1),
+        "q1": round(q1, 1),
+        "q3": round(q3, 1),
+        "runs": [round(value, 1) for value in pairs_per_sec],
+    }
 
-    # Old model: every pair is its own wear shard on a fresh device pair
-    # (run_shard builds and installs its own full corpus each time).
+
+def _blocking(pairs) -> float:
+    """Every pair as its own wear shard, corpus built and installed anew."""
     start = time.perf_counter()
     for spec in pairs:
         run_shard(
@@ -67,53 +80,75 @@ def measure(fleet_size: int = FLEET_SIZE, lane_counts=(8, GATE_LANES, 32)) -> di
                 plan=spec.plan,
             )
         )
-    serial_s = time.perf_counter() - start
+    return len(pairs) / (time.perf_counter() - start)
 
-    lanes_pps = {}
-    for lanes in lane_counts:
-        shared_corpus.cache_clear()  # every packing pays its own corpus build
-        start = time.perf_counter()
-        run_fleet_study(
-            fleet_size, config=BENCH_CONFIG, lanes=lanes, campaigns=CAMPAIGNS
-        )
-        lanes_pps[str(lanes)] = round(
-            fleet_size / (time.perf_counter() - start), 1
-        )
 
-    serial_pps = round(fleet_size / serial_s, 1)
+def _fleet(fleet_size: int) -> float:
+    shared_corpus.cache_clear()  # the fleet row pays its own corpus build
+    start = time.perf_counter()
+    run_fleet_study(fleet_size, config=BENCH_CONFIG, campaigns=CAMPAIGNS)
+    return fleet_size / (time.perf_counter() - start)
+
+
+def measure(fleet_size: int = FLEET_SIZE, repeats: int = REPEATS) -> dict:
+    """Blocking and fleet pairs/sec over the same pair plan, alternating."""
+    corpus = shared_corpus(BENCH_CONFIG.corpus_seed)
+    packages = [app.package.package for app in corpus.apps]
+    pairs = plan_pairs(
+        fleet_size, DEFAULT_COHORT_SPEC, BENCH_CONFIG, packages, CAMPAIGNS
+    )
+    blocking, fleet = [], []
+    for _ in range(repeats):
+        blocking.append(_blocking(pairs))
+        fleet.append(_fleet(fleet_size))
     return {
         "fleet_size": fleet_size,
         "campaigns": [campaign.value for campaign in CAMPAIGNS],
         "max_intents_per_component": BENCH_CONFIG.fuzz.max_intents_per_component,
-        "serial_pairs_per_sec": serial_pps,
-        "lanes_pairs_per_sec": lanes_pps,
+        "repeats": repeats,
+        "blocking_pairs_per_sec": _spread(blocking),
+        "fleet_pairs_per_sec": _spread(fleet),
     }
+
+
+def _commit() -> str:
+    """HEAD as ``git describe`` names it, ``-dirty`` for uncommitted edits."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() or "unknown"
 
 
 def main() -> int:
     results = {
         "bench": "fleet_kernel",
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": _commit(),
         **measure(),
-        "gate_lanes": GATE_LANES,
         "gate_min_speedup": GATE_MIN_SPEEDUP,
     }
     speedup = round(
-        results["lanes_pairs_per_sec"][str(GATE_LANES)]
-        / results["serial_pairs_per_sec"],
+        results["fleet_pairs_per_sec"]["median"]
+        / results["blocking_pairs_per_sec"]["median"],
         2,
     )
-    results["speedup_lanes16"] = speedup
+    results["speedup"] = speedup
     results["gate_passed"] = speedup >= GATE_MIN_SPEEDUP
-    out = os.path.join(os.path.dirname(__file__), "..", "BENCH_fleet.json")
-    with open(out, "w") as fh:
+    with open(os.path.join(ROOT, "BENCH_fleet.json"), "w") as fh:
         json.dump(results, fh, indent=2)
         fh.write("\n")
     json.dump(results, sys.stdout, indent=2)
     print()
     if not results["gate_passed"]:
         print(
-            f"FAIL: lanes={GATE_LANES} at {speedup}x serial, "
+            f"FAIL: fleet at {speedup}x blocking pairs/sec, "
             f"gate is {GATE_MIN_SPEEDUP}x",
             file=sys.stderr,
         )

@@ -9,10 +9,9 @@ instantly, while every relative relationship (pacing vs. ANR timeout vs.
 aging decay window) is preserved.
 
 The clock also provides a tiny deadline scheduler used by the ANR watchdog
-and the system server's health checks, and a :class:`FleetScheduler` that
-interleaves many independent device pairs -- each on its own clock -- inside
-a single worker process by always stepping the pair with the earliest next
-virtual deadline.
+and the system server's health checks, and :func:`drive`, the one
+trampoline that runs a deadline-yielding generator (the fuzzer's paced
+injection loop) to completion on a device's clock.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 # Compacting a tiny queue costs more bookkeeping than it saves; below this
 # size cancelled entries are simply left for advance_to/drain to skip.
@@ -151,94 +150,17 @@ class ScheduledHandle:
         return self._call.deadline_ms
 
 
-# A pair task is a generator that yields absolute virtual deadlines on its
-# own clock ("wake me when my clock reaches t") and returns its result via
-# StopIteration.value.
-PairTask = Generator[float, None, Any]
+def drive(task: Generator[float, None, Any], clock: Clock) -> Any:
+    """Run a deadline-yielding generator to completion on *clock*.
 
-
-@dataclasses.dataclass(order=True)
-class _FleetEntry:
-    deadline_ms: float
-    seq: int
-    key: str = dataclasses.field(compare=False)
-    clock: Clock = dataclasses.field(compare=False)
-    task: PairTask = dataclasses.field(compare=False)
-
-
-class FleetScheduler:
-    """Cooperative earliest-deadline interleaving of independent pair tasks.
-
-    Each task owns a private :class:`Clock` (one simulated watch+phone pair)
-    and yields the absolute virtual deadline it wants to sleep until.  The
-    scheduler always resumes the task whose next deadline is earliest across
-    the fleet -- ties broken by admission order -- after advancing that
-    task's own clock to the deadline.  Because tasks share no simulated
-    state, the interleaving cannot change any per-pair outcome; it only
-    decides which pair's fixed timeline is replayed next, which is what lets
-    one worker process multiplex a whole lane of pairs.
+    *task* yields the absolute virtual deadline of every sleep it wants
+    ("wake me when the clock reaches t"); advancing to each one at once is
+    exactly what an inline :meth:`Clock.sleep` would have done.  Returns
+    the generator's return value.
     """
-
-    def __init__(self) -> None:
-        self._ready: List[_FleetEntry] = []
-        self._seq = itertools.count()
-        self._results: Dict[str, Any] = {}
-        self.active = 0
-        self.peak_active = 0
-        self.steps = 0
-
-    def add(self, key: str, clock: Clock, task: PairTask) -> None:
-        """Admit *task* (keyed for result lookup) running on *clock*."""
-        if key in self._results:
-            raise ValueError(f"duplicate fleet task key: {key}")
-        self._results[key] = None
-        self.active += 1
-        self.peak_active = max(self.peak_active, self.active)
-        self._step(_FleetEntry(clock.now_ms(), next(self._seq), key, clock, task), first=True)
-
-    def _step(self, entry: _FleetEntry, first: bool = False) -> None:
-        try:
-            if first:
-                deadline = next(entry.task)
-            else:
-                deadline = entry.task.send(None)
-        except StopIteration as stop:
-            self._results[entry.key] = stop.value
-            self.active -= 1
-            return
-        if deadline < entry.clock.now_ms():
-            raise ValueError(
-                f"fleet task {entry.key!r} yielded a deadline in its past: "
-                f"{deadline} < {entry.clock.now_ms()}"
-            )
-        heapq.heappush(
-            self._ready,
-            _FleetEntry(deadline, entry.seq, entry.key, entry.clock, entry.task),
-        )
-
-    def run(self) -> Dict[str, Any]:
-        """Drive all admitted tasks to completion; return results by key."""
-        while self._ready:
-            entry = heapq.heappop(self._ready)
-            entry.clock.advance_to(entry.deadline_ms)
-            self.steps += 1
-            self._step(entry)
-        return dict(self._results)
-
-    def run_some(self, max_steps: int) -> bool:
-        """Run up to *max_steps* resumptions; return True while work remains.
-
-        Lane runners use this to interleave heartbeat/kill-switch checks
-        with scheduling without giving up the earliest-deadline order.
-        """
-        for _ in range(max_steps):
-            if not self._ready:
-                return False
-            entry = heapq.heappop(self._ready)
-            entry.clock.advance_to(entry.deadline_ms)
-            self.steps += 1
-            self._step(entry)
-        return bool(self._ready)
-
-    def results(self) -> Dict[str, Any]:
-        return dict(self._results)
+    advance = clock.advance_to
+    try:
+        while True:
+            advance(next(task))
+    except StopIteration as stop:
+        return stop.value

@@ -50,7 +50,6 @@ class Device:
         logcat_capacity: Optional[int] = None,
         reboot_threshold: Optional[float] = None,
         runtime: Optional[RuntimeContext] = None,
-        clock: Optional[Clock] = None,
     ) -> None:
         self.name = name
         self.android_version = android_version
@@ -59,10 +58,7 @@ class Device:
         #: pre-bound context to scope the device to a shard (repro.farm);
         #: the default unbound context falls back to the global handles.
         self.runtime = runtime if runtime is not None else RuntimeContext()
-        #: The device's virtual timeline.  A caller may supply the clock --
-        #: the fleet scheduler does, so it can advance a multiplexed pair's
-        #: time between that pair's resumptions.
-        self.clock = clock if clock is not None else Clock()
+        self.clock = Clock()
         self.logcat = Logcat(self.clock, capacity=logcat_capacity, runtime=self.runtime)
         self.permissions = PermissionManager()
         self.packages = PackageManager(self.permissions)

@@ -145,7 +145,7 @@ usage: python -m repro [quick|paper] [--json FILE] [--telemetry DIR]
                        [--telemetry-sample N] [--profile]
                        [--workers N|auto] [--fault-seed N]
                        [--service-fault-seed N] [--compat-skew N]
-                       [--fleet N] [--cohorts SPEC] [--lanes M]
+                       [--fleet N] [--cohorts SPEC]
                        [--journal FILE | --resume FILE] [--kill-after N]
                        [--shard-timeout S] [--max-shard-attempts N]
                        [--allow-partial]
@@ -184,17 +184,14 @@ options:
                    NoSuchMethodError-style compat mismatches and data-sync
                    replication degrades; 0 is a matched pair (no effect)
   --fleet N        run the fleet study instead of the full report: N
-                   heterogeneous watch+phone pairs multiplexed through the
-                   cooperative virtual-clock kernel; prints the per-cohort
-                   population report (byte-identical at any --lanes x
-                   --workers packing).  Composes with the chaos flags,
-                   --guided, --journal/--resume/--kill-after, --telemetry
+                   heterogeneous watch+phone pairs, each worker running its
+                   strided share one pair after another; prints the
+                   per-cohort population report (byte-identical at any
+                   --workers).  Composes with the chaos flags, --guided,
+                   --journal/--resume/--kill-after, --telemetry
   --cohorts SPEC   cohort cycle for --fleet, e.g. "flagship,budget:2,aging"
                    (name[:weight], comma-separated; default
                    "flagship,budget,legacy,aging"; requires --fleet)
-  --lanes M        cooperative schedulers per fleet, each multiplexing its
-                   strided share of the pairs (default: 1; requires
-                   --fleet; output is packing-invariant)
   --journal FILE   checkpoint the wear study to FILE after every
                    (package, campaign) segment; prints the study summary
   --resume FILE    resume a journalled wear study; reproduces the summary
@@ -272,7 +269,6 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--workers", default="1", metavar="N")
     parser.add_argument("--fleet", dest="fleet", type=int, metavar="N")
     parser.add_argument("--cohorts", dest="cohorts", metavar="SPEC")
-    parser.add_argument("--lanes", dest="lanes", type=int, metavar="M")
     parser.add_argument("--fault-seed", dest="fault_seed", type=int, metavar="N")
     parser.add_argument(
         "--service-fault-seed", dest="service_fault_seed", type=int, metavar="N"
@@ -332,16 +328,12 @@ def main(argv=None) -> int:
             )
             return 2
     if opts.fleet is None:
-        for flag, value in (("--cohorts", opts.cohorts), ("--lanes", opts.lanes)):
-            if value is not None:
-                print(f"{flag} requires --fleet\n{USAGE}", file=sys.stderr)
-                return 2
+        if opts.cohorts is not None:
+            print(f"--cohorts requires --fleet\n{USAGE}", file=sys.stderr)
+            return 2
     else:
         if opts.fleet < 1:
             print(f"--fleet must be >= 1, got {opts.fleet}\n{USAGE}", file=sys.stderr)
-            return 2
-        if opts.lanes is not None and opts.lanes < 1:
-            print(f"--lanes must be >= 1, got {opts.lanes}\n{USAGE}", file=sys.stderr)
             return 2
         if opts.cohorts is not None:
             try:
@@ -356,10 +348,9 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-    lanes = opts.lanes if opts.lanes is not None else 1
     workers = resolve_workers(
         opts.workers if opts.workers == "auto" else int(opts.workers),
-        units=lanes if opts.fleet is not None else None,
+        units=opts.fleet,
     )
     if opts.shard_timeout is not None and opts.shard_timeout <= 0:
         print(
@@ -513,7 +504,6 @@ def main(argv=None) -> int:
                     cohorts=(
                         opts.cohorts if opts.cohorts is not None else DEFAULT_COHORT_SPEC
                     ),
-                    lanes=lanes,
                     workers=workers,
                     guided=guided_config,
                     **study_kwargs,
@@ -523,8 +513,7 @@ def main(argv=None) -> int:
                 print(result.render_report())
                 print(
                     f"{result.intents_sent} intents across {result.fleet_size} "
-                    f"pairs in {result.lanes} lane(s), "
-                    f"{result.virtual_hours():.1f} virtual pair-hours"
+                    f"pairs, {result.virtual_hours():.1f} virtual pair-hours"
                 )
             elif opts.guided:
                 from repro.guided import GuidedConfig, run_guided_study

@@ -14,7 +14,7 @@ Every study kind shares the skeleton: :func:`run_shard` scopes the
 telemetry handle and fault plane, one rig builder sets up the devices the
 kind needs, and the kind's body runs on them -- wear and phone through
 the same segment loop, guided through its block runner, fleet through its
-lane scheduler.
+lane.
 
 Checkpointing is per shard: each shard keeps its own
 :class:`~repro.faults.journal.CheckpointJournal` segment file and snapshot
@@ -440,7 +440,7 @@ def _run_guided_shard(spec, handle, plane, runtime, kill_switch, heartbeat, atte
 
 
 def _run_fleet_shard(spec, handle, plane, runtime, kill_switch, heartbeat, attempt) -> ShardResult:
-    """One fleet lane: a cooperative scheduler multiplexing many pairs.
+    """One fleet lane: its slice of pairs, run one after another.
 
     The lane -- not the pair -- is the farm's unit of distribution, so
     supervision (deadline, heartbeat liveness, retry-with-resume, poison

@@ -1,18 +1,17 @@
-"""One fleet lane: a scheduler multiplexing its slice of pairs.
+"""One fleet lane: a slice of pairs run one after another.
 
 A lane is the fleet's unit of *distribution* (one farm shard, one worker
 heartbeat, one checkpoint journal) while the pair stays the unit of
-*simulation*.  The lane admits every pair task into a
-:class:`~repro.android.clock.FleetScheduler` and lets earliest-deadline
-stepping interleave them; at any moment the worker is advancing exactly
-one pair's virtual clock.
+*simulation*.  The lane runs its pairs in pair-id order, each to
+completion on its own virtual clock, and releases each pair's device tree
+before the next one starts.
 
 The lane also owns the fleet kernel's throughput lever: pairs share one
 memoized read-only corpus per process (building the 46-app catalogue
 costs more than fuzzing a small per-pair budget) and each pair installs
 only its own package slice.  The blocking one-shard-one-pair model
 structurally cannot share either, which is where the fleet's >=3x
-pairs/sec on one core comes from.
+pairs/sec comes from.
 """
 
 from __future__ import annotations
@@ -22,23 +21,11 @@ import os
 import zlib
 from typing import Dict, List, Optional, Sequence
 
-from repro.android.clock import Clock, FleetScheduler
 from repro.apps.catalog import Corpus, build_wear_corpus
 from repro.faults.journal import CheckpointJournal, KillSwitch
-from repro.fleet.pairs import PairSpec, PairSummary, pair_task
-from repro.telemetry.metrics import (
-    CRASHES,
-    FLEET_LANE_OCCUPANCY,
-    FLEET_PAIRS_ACTIVE,
-    FLEET_PAIRS_FINISHED,
-    INTENTS_SENT,
-)
-from repro.telemetry.record import CounterSite, GaugeSite
-
-#: Scheduler resumptions between heartbeat beats: fine enough that a hung
-#: pair is noticed inside the supervision deadline, coarse enough that the
-#: beat never shows up in a profile.
-_BEAT_EVERY_STEPS = 256
+from repro.fleet.pairs import PairSpec, PairSummary, run_pair
+from repro.telemetry.metrics import CRASHES, FLEET_PAIRS_FINISHED, INTENTS_SENT
+from repro.telemetry.record import CounterSite
 
 CRASHES_SITE = CounterSite(
     CRASHES, "Crashes observed by fleet pairs, by cohort.", ("cohort",)
@@ -48,12 +35,6 @@ INTENTS_SENT_SITE = CounterSite(
 )
 PAIRS_FINISHED_SITE = CounterSite(
     FLEET_PAIRS_FINISHED, "Fleet pairs run to completion."
-)
-PAIRS_ACTIVE_SITE = GaugeSite(
-    FLEET_PAIRS_ACTIVE, "Fleet pairs currently admitted and unfinished."
-)
-LANE_OCCUPANCY_SITE = GaugeSite(
-    FLEET_LANE_OCCUPANCY, "Peak pairs multiplexed per lane.", ("lane",)
 )
 
 
@@ -93,13 +74,13 @@ def run_lane(
     telemetry_handle=None,
     heartbeat=None,
 ) -> List[PairSummary]:
-    """Run one lane's pairs to completion; returns summaries by pair id.
+    """Run one lane's pairs in pair-id order; returns summaries by pair id.
 
-    With *journal_path*, every completed pair is appended durably; a
-    killed lane resumed under the same pair slice replays the journaled
-    summaries verbatim and re-runs only the in-flight pairs (each of which
-    is deterministic from its spec, so the merged fleet is identical to an
-    uninterrupted run's).
+    After every pair the lane appends its summary to the journal (when
+    *journal_path* is given) and beats *heartbeat*.  A killed lane resumed
+    under the same pair slice replays the journaled summaries verbatim and
+    re-runs only the pairs with no record (each deterministic from its
+    spec, so the merged fleet is identical to an uninterrupted run's).
     """
     pairs = list(pairs)
     completed: Dict[int, PairSummary] = {}
@@ -116,7 +97,7 @@ def run_lane(
                 f"journal {journal.path} was recorded for a different pair "
                 f"slice ({header.get('fleet_fingerprint')!r}, expected "
                 f"{fingerprint!r}) -- resume with the original fleet/cohorts/"
-                "lanes/workers"
+                "workers"
             )
         # Owning-writer resume: this lane appends right after, so a torn
         # tail from the kill must be truncated off before the next record.
@@ -137,57 +118,22 @@ def run_lane(
     enabled = telemetry_handle is not None and telemetry_handle.enabled
     if enabled:
         metrics = telemetry_handle.metrics
-        crash_handles = {}
-        sent_handles = {}
         finished_handle = PAIRS_FINISHED_SITE.bind(metrics)
-        active_handle = PAIRS_ACTIVE_SITE.bind(metrics)
 
-    scheduler = FleetScheduler()
-
-    def tracked(spec: PairSpec, clock: Clock):
+    if heartbeat is not None:
+        heartbeat.beat()
+    for spec in sorted(pairs, key=lambda spec: spec.pair_id):
+        if spec.pair_id in completed:
+            continue
         corpus = shared_corpus(spec.config.corpus_seed)
-        summary = yield from pair_task(
-            spec,
-            corpus,
-            kill_switch,
-            clock=clock,
-            telemetry_handle=telemetry_handle,
-        )
+        summary = run_pair(spec, corpus, kill_switch, telemetry_handle)
+        completed[spec.pair_id] = summary
         if journal is not None:
             journal.append({"type": "pair", **summary.to_record()})
         if enabled:
-            cohort = summary.cohort
-            try:
-                crash_handles[cohort].inc(summary.crashes)
-                sent_handles[cohort].inc(summary.sent)
-            except KeyError:
-                crash_handles[cohort] = CRASHES_SITE.bind(metrics, (cohort,))
-                sent_handles[cohort] = INTENTS_SENT_SITE.bind(metrics, (cohort,))
-                crash_handles[cohort].inc(summary.crashes)
-                sent_handles[cohort].inc(summary.sent)
+            CRASHES_SITE.bind(metrics, (summary.cohort,)).inc(summary.crashes)
+            INTENTS_SENT_SITE.bind(metrics, (summary.cohort,)).inc(summary.sent)
             finished_handle.inc()
-            active_handle.set(scheduler.active - 1)
-        return summary
-
-    for spec in pairs:
-        if spec.pair_id in completed:
-            continue
-        clock = Clock()
-        scheduler.add(spec.name, clock, tracked(spec, clock))
-
-    if heartbeat is not None:
-        heartbeat.beat()
-    while scheduler.run_some(_BEAT_EVERY_STEPS):
         if heartbeat is not None:
             heartbeat.beat()
-    if heartbeat is not None:
-        heartbeat.beat()
-
-    for summary in scheduler.results().values():
-        if summary is not None:
-            completed[summary.pair_id] = summary
-    if enabled:
-        LANE_OCCUPANCY_SITE.bind(metrics, (f"{lane_index:03d}",)).set(
-            scheduler.peak_active
-        )
     return [completed[pair_id] for pair_id in sorted(completed)]

@@ -1,26 +1,24 @@
-"""One fleet pair: spec, summary, and the cooperative pair task.
+"""One fleet pair: spec, summary, and the call that runs it.
 
 A *pair* is the fleet's unit of simulation: one watch+phone pair drawn
 from a :class:`~repro.apps.profiles.DeviceProfile` cohort, fuzzing its own
 package slice under its own derived seed and cohort-composed fault plan.
-:func:`pair_task` is a generator in the
-:class:`~repro.android.clock.FleetScheduler` protocol -- it yields the
-absolute virtual deadline of every pacing sleep and returns a picklable,
-JSON-serializable :class:`PairSummary`.
+:func:`run_pair` runs one pair to completion on its own virtual clock and
+returns a picklable, JSON-serializable :class:`PairSummary`.
 
 Everything a pair does is a pure function of its :class:`PairSpec` (plus
 the shared read-only corpus): devices are named by pair id, seeds and
 plans are pre-derived by the planner, and cohort profiles are static data.
 That is the whole fleet determinism argument -- which lane or worker runs
-a pair, and in what interleaving, cannot change its summary.
+a pair, and after which other pairs, cannot change its summary.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.android.clock import Clock
+from repro.android.clock import drive
 from repro.android.runtime import RuntimeContext
 from repro.apps.catalog import Corpus
 from repro.apps.profiles import BATTERY_LOW_PCT, FLEET_COHORTS, DeviceProfile
@@ -115,9 +113,9 @@ def _battery_end_pct(profile: DeviceProfile, clock_ms: float) -> int:
 def _arm_power_model(watch: WearDevice, profile: DeviceProfile) -> None:
     """Schedule the cohort's ambient duty cycle and low-battery park.
 
-    Both run as clock callbacks, so they fire whenever the scheduler (or a
-    blocking trampoline) advances this pair's clock -- the display state an
-    injected intent observes depends only on the pair's own virtual time.
+    Both run as clock callbacks, so they fire whenever the pair's pacing
+    advances its clock -- the display state an injected intent observes
+    depends only on the pair's own virtual time.
     Once the battery model crosses the low-water mark the watch parks in
     ambient mode and the duty cycle's pending toggle is cancelled (the
     compaction path in :class:`~repro.android.clock.Clock` exists for
@@ -162,17 +160,15 @@ def _arm_power_model(watch: WearDevice, profile: DeviceProfile) -> None:
 
 def _guided_pair_rounds(
     spec: PairSpec, fuzzer: FuzzerLibrary, package_name: str
-) -> Generator[float, None, Dict[str, int]]:
+) -> Dict[str, int]:
     """A pair-local guided loop: bandit rounds over one package's campaigns.
 
     The fleet analogue of :func:`repro.guided.study.run_guided_study`,
     scoped to a single device pair and its single package: the bandit's
-    arms are the pair's campaigns, blocks run back-to-back on the pair's
-    own device session (blocking inside one scheduler step -- pairs are
-    independent, so coarse interleaving is harmless), and the generator
-    yields at round boundaries so the fleet scheduler can switch pairs.
-    Everything seeds from the spec, so guided fleets keep the packing
-    invariance.  Returns the outcome-label totals (plus ``"sent"``).
+    arms are the pair's campaigns and blocks run back-to-back on the
+    pair's own device session.  Everything seeds from the spec, so guided
+    fleets keep the packing invariance.  Returns the outcome-label totals
+    (plus ``"sent"``).
     """
     # Deferred: the guided package pulls in the engine/scheduler stack,
     # which clean blind fleets never need.
@@ -241,30 +237,24 @@ def _guided_pair_rounds(
             for label, count in outcome.outcomes.items():
                 totals[label] = totals.get(label, 0) + count
         round_index += 1
-        # Round boundary: the only fleet yield point of a guided pair.
-        yield device.clock.now_ms()
     return totals
 
 
-def pair_task(
+def run_pair(
     spec: PairSpec,
     corpus: Corpus,
     kill_switch: Optional[KillSwitch] = None,
-    clock: Optional[Clock] = None,
     telemetry_handle=None,
-) -> Generator[float, None, PairSummary]:
-    """Run one pair cooperatively; returns its :class:`PairSummary`.
+) -> PairSummary:
+    """Run one pair to completion; returns its :class:`PairSummary`.
 
-    The generator yields every pacing deadline of the underlying fuzz
-    loops (see :meth:`FuzzerLibrary.fuzz_app_coop`); the caller advances
-    this pair's clock to each yielded deadline before resuming.  Driving
-    it with a trivial ``advance_to`` trampoline reproduces a blocking run
-    exactly -- the fleet equivalence tests pin that down.  *clock*, when
-    given, becomes the watch's clock (the scheduler supplies it so it can
-    advance a pair's time between resumptions).  *telemetry_handle* scopes
-    the pair's device tree to the lane's handle -- in a worker process the
-    global fallback would be a disabled handle and every device-level
-    counter would silently vanish from the merged registry.
+    Blind campaigns go through :meth:`FuzzerLibrary.fuzz_app_coop`, run by
+    the :func:`~repro.android.clock.drive` trampoline on the watch's own
+    clock, so fleet injections stay off the telemetry loop.
+    *telemetry_handle* scopes the pair's device tree to the lane's handle
+    -- in a worker process the global fallback would be a disabled handle
+    and every device-level counter would silently vanish from the merged
+    registry.
     """
     profile = spec.profile()
     plane = (
@@ -278,7 +268,6 @@ def pair_task(
         model=profile.model,
         logcat_capacity=spec.config.logcat_capacity,
         runtime=runtime,
-        clock=clock,
     )
     phone = PhoneDevice(f"phone-{spec.pair_id:04d}", runtime=runtime)
     pair(phone, watch, latency_ms=profile.latency_ms)
@@ -292,7 +281,7 @@ def pair_task(
     security = transport = compat = retries = quarantined = 0
     for package_name in spec.packages:
         if spec.guided is not None:
-            totals = yield from _guided_pair_rounds(spec, fuzzer, package_name)
+            totals = _guided_pair_rounds(spec, fuzzer, package_name)
             sent += totals.get("sent", 0)
             delivered += totals.get("delivered", 0)
             crashes += totals.get("crash", 0)
@@ -305,8 +294,9 @@ def pair_task(
                 quarantined += 1
             continue
         for campaign in spec.campaigns:
-            app_result = yield from fuzzer.fuzz_app_coop(
-                package_name, campaign, spec.config.fuzz
+            app_result = drive(
+                fuzzer.fuzz_app_coop(package_name, campaign, spec.config.fuzz),
+                watch.clock,
             )
             sent += app_result.sent
             for component in app_result.components:

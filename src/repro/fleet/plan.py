@@ -2,9 +2,9 @@
 
 Every derivation here keys off the pair's *global index* -- its cohort,
 package slice, seed, and fault plan are functions of ``pair_id`` alone --
-so re-packing the same fleet into different lane or worker counts hands
-every pair the exact same spec.  Packing only decides which scheduler
-multiplexes which subset.
+so re-packing the same fleet into a different worker count hands every
+pair the exact same spec.  Packing only decides which lane runs which
+subset.
 """
 
 from __future__ import annotations
@@ -108,9 +108,10 @@ def plan_lanes(
 ) -> List[Tuple[PairSpec, ...]]:
     """Pack pairs into *lanes* strided slices (lane j gets pairs j::lanes).
 
-    Striding spreads every cohort across every lane, so lane occupancy and
-    per-lane wall-clock stay balanced; because merging re-orders by pair
-    id, the packing is invisible in the study's output.
+    Striding spreads every cohort across every lane, so per-lane
+    wall-clock stays balanced; each slice stays in pair-id order, and
+    because merging re-orders by pair id, the packing is invisible in the
+    study's output.
     """
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")

@@ -6,28 +6,28 @@ the journaling/resume/kill-switch machinery compose unchanged:
 
 1. plan ``--fleet N`` pair specs from the cohort cycle (every pair a pure
    function of its global id);
-2. pack them into ``--lanes M`` strided slices, one farm shard per lane;
-3. run the lanes through the supervised farm (``--workers`` processes,
-   deadlines, heartbeat liveness, retry-with-resume, poison quarantine);
+2. pack them into one strided slice per ``--workers`` process, one farm
+   shard per lane;
+3. run the lanes through the supervised farm (deadlines, heartbeat
+   liveness, retry-with-resume, poison quarantine);
 4. merge pair summaries back into global pair-id order and fold them into
    the per-cohort population report.
 
 **Packing invariance.**  Pairs share no simulated state and derive
-everything from ``pair_id``, lanes only decide which scheduler multiplexes
-which subset, and the merge re-orders by pair id -- so the merged fleet,
-the population report, and every telemetry *counter* are byte-identical at
-any ``(lanes x workers)`` packing of the same fleet.  The fleet metric
-series are pre-registered here in sorted cohort order for exactly that
-reason: lane-local binding order depends on pair completion order, which
-packing *does* change.  Gauges are the deliberate exception -- lane
-occupancy is a property of the packing itself, and last-level gauges (the
-logcat buffer depth) report whichever pair wrote last.
+everything from ``pair_id``, lanes only decide which process runs which
+subset, and the merge re-orders by pair id -- so the merged fleet, the
+population report, and every telemetry *counter* are byte-identical at
+any worker count.  The fleet metric series are pre-registered here in
+sorted cohort order for exactly that reason: lane-local binding order
+depends on which pairs a lane runs first, which packing *does* change.
+Last-level gauges (the logcat buffer depth) are the deliberate exception:
+they report whichever pair wrote last.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro import faults, telemetry
 from repro.analysis.population import (
@@ -46,8 +46,6 @@ from repro.farm import (
 from repro.fleet.lane import (
     CRASHES_SITE,
     INTENTS_SENT_SITE,
-    LANE_OCCUPANCY_SITE,
-    PAIRS_ACTIVE_SITE,
     PAIRS_FINISHED_SITE,
     shared_corpus,
 )
@@ -69,9 +67,6 @@ class FleetStudyResult:
     config: ExperimentConfig
     fleet_size: int
     cohorts: str
-    lanes: int
-    #: Final virtual-clock sum of every lane, in lane order.
-    lane_clock_ms: Tuple[float, ...] = ()
     health: Optional[StudyHealthReport] = None
 
     @property
@@ -123,11 +118,11 @@ def _fleet_shards(
     return specs
 
 
-def _preregister_fleet_series(handle, pairs: Sequence[PairSpec], lanes: int) -> None:
+def _preregister_fleet_series(handle, pairs: Sequence[PairSpec]) -> None:
     """Create every fleet metric series up front, in sorted label order.
 
-    Lane code binds series lazily as pairs finish, and completion order
-    depends on the packing; registering the full label space here (all at
+    Lane code binds series lazily as pairs finish, and which pairs finish
+    first depends on the packing; registering the full label space here (all at
     zero) pins the export ordering to the fleet plan alone.
     """
     if handle is None or not handle.enabled:
@@ -137,17 +132,12 @@ def _preregister_fleet_series(handle, pairs: Sequence[PairSpec], lanes: int) -> 
         CRASHES_SITE.bind(metrics, (cohort,))
         INTENTS_SENT_SITE.bind(metrics, (cohort,))
     PAIRS_FINISHED_SITE.bind(metrics)
-    PAIRS_ACTIVE_SITE.bind(metrics)
-    lane_count = min(lanes, len(pairs)) or 1
-    for lane in range(lane_count):
-        LANE_OCCUPANCY_SITE.bind(metrics, (f"{lane:03d}",))
 
 
 def run_fleet_study(
     fleet_size: int,
     config: ExperimentConfig = QUICK,
     cohorts: str = DEFAULT_COHORT_SPEC,
-    lanes: int = 1,
     packages: Optional[Sequence[str]] = None,
     campaigns: Sequence[Campaign] = tuple(Campaign),
     journal_path: Optional[str] = None,
@@ -159,18 +149,21 @@ def run_fleet_study(
     allow_partial: bool = False,
     guided: Optional["GuidedConfig"] = None,
 ) -> FleetStudyResult:
-    """Run a heterogeneous device fleet through the cooperative kernel.
+    """Run a heterogeneous device fleet, one lane per worker process.
 
     *fleet_size* pairs are drawn round-robin from the *cohorts* spec (see
-    :func:`repro.apps.profiles.parse_cohort_spec`) and packed into *lanes*
-    cooperative schedulers, distributed over *workers* processes.  Results
-    are byte-identical at any ``(lanes, workers)`` packing.
+    :func:`repro.apps.profiles.parse_cohort_spec`) and packed into one
+    strided lane per worker (clamped to the fleet size); each lane runs
+    its pairs one after another.  Results are byte-identical at any
+    *workers* count.
 
     Journaling mirrors the wear study: a manifest plus one checkpoint
     journal per lane, each completed pair appended durably; a later call
-    with ``resume=True`` (same config, fault plan, fleet, cohorts, lanes
-    and workers) replays completed pairs from the journals and re-runs
-    only the in-flight ones, converging on the identical merged fleet.
+    with ``resume=True`` (same config, fault plan, fleet, cohorts and
+    workers) replays completed pairs from the journals and re-runs only
+    the in-flight ones, converging on the identical merged fleet.  The
+    lane count is read back from the manifest, so a journal keeps its
+    recorded packing.
     *kill_after_injections* arms the same study-wide kill switch the other
     studies use (shared across workers at ``workers>1``).
     """
@@ -195,6 +188,8 @@ def run_fleet_study(
             guided = _GuidedConfig(**header["guided"])
         else:
             guided = None
+    else:
+        lanes = workers
 
     parse_cohort_spec(cohorts)  # validate early, before any device is built
     if packages is None:
@@ -232,11 +227,11 @@ def run_fleet_study(
             extra={
                 "fleet_size": fleet_size,
                 "cohorts": cohorts,
-                "lanes": lanes,
+                "lanes": len(specs),
                 "guided": dataclasses.asdict(guided) if guided is not None else None,
             },
         )
-    _preregister_fleet_series(live, pairs, lanes)
+    _preregister_fleet_series(live, pairs)
     run = run_shards(
         specs,
         workers=workers,
@@ -253,7 +248,5 @@ def run_fleet_study(
         config=config,
         fleet_size=fleet_size,
         cohorts=cohorts,
-        lanes=lanes,
-        lane_clock_ms=tuple(result.clock_ms for result in run.results),
         health=run.health,
     )

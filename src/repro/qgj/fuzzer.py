@@ -16,6 +16,15 @@ telemetry; behavioural classification happens later from logcat.
 A device reboot mid-campaign aborts the rest of the *current app* (the
 session to the device is lost; the operator resumes with the next app) --
 which is also why each observed reboot appears exactly once per run.
+
+There are two per-intent loops.  With telemetry off, every entry point
+(blocking :meth:`FuzzerLibrary.fuzz_component`, the guided
+:meth:`~FuzzerLibrary.fuzz_intent_stream`, the fleet's
+:meth:`~FuzzerLibrary.fuzz_app_coop`) runs the one generator
+:meth:`~FuzzerLibrary.fuzz_component_coop`, which yields its pacing
+deadlines to the :func:`~repro.android.clock.drive` trampoline.  With
+telemetry on, ``_fuzz_component_instrumented`` records spans and metrics
+inline; the self-profiler only swaps its hoisted callables.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import time
 from typing import Callable, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.android.activity_manager import DispatchResult
+from repro.android.clock import drive
 from repro.android.component import ComponentInfo, ComponentKind
 from repro.android.device import Device
 from repro.android.jtypes import ActivityNotFoundException, SecurityException
@@ -96,6 +106,11 @@ _INTENTS_SITE = CounterSite(
     ("campaign", "package", "outcome"),
 )
 
+#: Sees every injection as ``(info, intent, outcome, dispatch)``.
+InjectionObserver = Callable[
+    [ComponentInfo, FuzzIntent, str, Optional[DispatchResult]], None
+]
+
 #: Attribute keys of the inline leaf-ring entry (see
 #: ``_fuzz_component_instrumented``): one shared tuple instead of a fresh
 #: two-key dict per injection.  Order matters -- materialized spans must
@@ -122,6 +137,31 @@ def _profiled_generation(iterable, profiler):
         finally:
             leave()
         yield item
+
+
+def _campaign_intents(campaign: Campaign, info: ComponentInfo, config: FuzzConfig):
+    """The campaign grammar's intent stream for one component."""
+    return generate(
+        campaign,
+        seed=config.seed,
+        component=info.name,
+        stride=config.stride_for(campaign),
+    )
+
+
+def _profiled_dispatch(inject, profiler):
+    """Bracket every call of *inject* in the profiler's ``dispatch`` phase."""
+    enter = profiler.enter
+    leave = profiler.exit
+
+    def profiled(info, fuzz_intent, result):
+        enter("dispatch")
+        try:
+            return inject(info, fuzz_intent, result)
+        finally:
+            leave()
+
+    return profiled
 
 
 #: Quick scale: every component still sees every action and every corruption
@@ -173,12 +213,17 @@ class FuzzerLibrary:
             campaign=campaign,
         )
         t = self._device.runtime.telemetry
-        if not t.enabled:
-            self._fuzz_component_plain(info, campaign, config, result)
-        elif t.profiler.enabled:
-            self._fuzz_component_profiled(info, campaign, config, result, t)
-        else:
+        if t.enabled:
             self._fuzz_component_instrumented(info, campaign, config, result, t)
+        else:
+            # The telemetry-off loop, called directly: no wrapper level
+            # between the trampoline and the generator.
+            drive(
+                self.fuzz_component_coop(
+                    info, _campaign_intents(campaign, info, config), config, result
+                ),
+                self._device.clock,
+            )
         return result
 
     def fuzz_intent_stream(
@@ -188,22 +233,19 @@ class FuzzerLibrary:
         intents: Iterable[FuzzIntent],
         config: FuzzConfig = QUICK_CONFIG,
         result: Optional[ComponentRunResult] = None,
-        observer: Optional[
-            Callable[
-                [ComponentInfo, FuzzIntent, str, Optional[DispatchResult]], None
-            ]
-        ] = None,
+        observer: Optional[InjectionObserver] = None,
     ) -> ComponentRunResult:
         """Inject an explicit intent stream instead of a campaign grammar.
 
         The guided fuzzer's entry point: the caller owns intent selection
-        (corpus mutation, spliced pools, replay) while this method keeps
-        the injection semantics -- pacing, kill switch, reboot abort,
-        quarantine -- identical to the campaign loops by sharing
-        :meth:`_injection_epilogue`.  *observer*, when given, sees every
-        injection as ``(info, intent, outcome, dispatch)`` so callers can
-        fingerprint behaviours without re-entering the dispatch path.
-        Passing *result* lets one accounting object span several streams.
+        (corpus mutation, spliced pools, replay) while the injection
+        semantics -- pacing, kill switch, reboot abort, quarantine -- are
+        the campaign loop's own, because this drives the same
+        :meth:`fuzz_component_coop` generator.  *observer*, when given,
+        sees every injection as ``(info, intent, outcome, dispatch)`` so
+        callers can fingerprint behaviours without re-entering the dispatch
+        path.  Passing *result* lets one accounting object span several
+        streams.
         """
         if result is None:
             result = ComponentRunResult(
@@ -211,72 +253,46 @@ class FuzzerLibrary:
                 kind=info.kind,
                 campaign=campaign,
             )
-        clock = self._device.clock
-        boots_before = self._device.boot_count
-        max_intents = config.max_intents_per_component
-        epilogue = self._injection_epilogue
-        for fuzz_intent in intents:
-            if max_intents is not None and result.sent >= max_intents:
-                break
-            outcome, dispatch = self._inject(info, fuzz_intent, result)
-            if observer is not None:
-                observer(info, fuzz_intent, outcome, dispatch)
-            if not epilogue(result, config, clock, boots_before):
-                break
+        drive(
+            self.fuzz_component_coop(info, intents, config, result, observer),
+            self._device.clock,
+        )
         return result
-
-    def _fuzz_component_plain(
-        self,
-        info: ComponentInfo,
-        campaign: Campaign,
-        config: FuzzConfig,
-        result: ComponentRunResult,
-    ) -> None:
-        """The uninstrumented loop: telemetry off pays nothing here.
-
-        Implemented as a trampoline over :meth:`fuzz_component_coop`: each
-        yielded deadline is advanced to immediately, which is exactly what
-        ``clock.sleep`` would have done inline.  Sharing the generator with
-        the fleet kernel is what guarantees a multiplexed pair replays the
-        identical timeline a blocking run produces.
-        """
-        advance = self._device.clock.advance_to
-        for deadline_ms in self.fuzz_component_coop(info, campaign, config, result):
-            advance(deadline_ms)
 
     def fuzz_component_coop(
         self,
         info: ComponentInfo,
-        campaign: Campaign,
+        intents: Iterable[FuzzIntent],
         config: FuzzConfig,
         result: ComponentRunResult,
+        observer: Optional[InjectionObserver] = None,
     ) -> Generator[float, None, None]:
-        """The cooperative component loop: yields instead of sleeping.
+        """The telemetry-off injection loop: yields instead of sleeping.
 
         Each ``yield`` hands the caller the absolute virtual deadline the
         paper's pacing calls for (100 ms between intents, +250 ms per
         batch); the caller must advance this device's clock to the deadline
-        before resuming -- the blocking trampoline does it inline, the
-        :class:`~repro.android.clock.FleetScheduler` does it when this pair
-        is next up.  The body mirrors :meth:`_injection_epilogue` step for
-        step (kill tick, pacing, reboot abort, quarantine abort); the
-        stream-vs-coop equivalence test in ``tests/qgj`` keeps the two from
-        drifting apart.
+        before resuming, which :func:`~repro.android.clock.drive` does at
+        once.  Every telemetry-off path runs this one generator: blocking
+        :meth:`fuzz_component`, the guided :meth:`fuzz_intent_stream` and
+        the fleet's :meth:`fuzz_app_coop`.  Its per-injection tail (kill
+        tick, pacing, reboot abort, quarantine abort) mirrors
+        :meth:`_injection_epilogue`, the instrumented loop's;
+        ``tests/qgj/test_injection_paths.py`` keeps the two from drifting
+        apart.
         """
         clock = self._device.clock
         device = self._device
         boots_before = device.boot_count
         max_intents = config.max_intents_per_component
         kill_switch = self.kill_switch
-        for fuzz_intent in generate(
-            campaign,
-            seed=config.seed,
-            component=info.name,
-            stride=config.stride_for(campaign),
-        ):
+        inject = self._inject
+        for fuzz_intent in intents:
             if max_intents is not None and result.sent >= max_intents:
                 break
-            self._inject(info, fuzz_intent, result)
+            outcome, dispatch = inject(info, fuzz_intent, result)
+            if observer is not None:
+                observer(info, fuzz_intent, outcome, dispatch)
             if kill_switch is not None:
                 kill_switch.tick()
             yield clock.now_ms() + config.intent_delay_ms
@@ -345,12 +361,14 @@ class FuzzerLibrary:
         next_id = tracer._ids.__next__
         inject = self._inject
         epilogue = self._injection_epilogue
-        intent_stream = generate(
-            campaign,
-            seed=config.seed,
-            component=info.name,
-            stride=config.stride_for(campaign),
-        )
+        intent_stream = _campaign_intents(campaign, info, config)
+        profiler = t.profiler
+        if profiler.enabled:
+            # Self-profiling: charge generation and dispatch to their own
+            # phases by substituting both hoisted callables, so the loop
+            # itself carries no profiler branch.
+            intent_stream = _profiled_generation(intent_stream, profiler)
+            inject = _profiled_dispatch(inject, profiler)
         with tracer.span(
             "component",
             clock=clock,
@@ -439,79 +457,6 @@ class FuzzerLibrary:
                     if overflow > 0:
                         tracer._dropped += overflow
 
-    def _fuzz_component_profiled(
-        self,
-        info: ComponentInfo,
-        campaign: Campaign,
-        config: FuzzConfig,
-        result: ComponentRunResult,
-        t,
-    ) -> None:
-        """The self-profiled loop: like the instrumented one, plus phase
-        brackets around intent generation and dispatch.
-
-        Kept as its own variant so the common instrumented path carries no
-        profiler conditionals; profiling is explicitly a diagnostic mode
-        that trades some throughput for attribution.
-        """
-        clock = self._device.clock
-        boots_before = self._device.boot_count
-        max_intents = config.max_intents_per_component
-        tracer = t.tracer
-        metrics = t.metrics
-        profiler = t.profiler
-        record_leaf = tracer.record_leaf
-        perf_counter = time.perf_counter
-        now_ms = clock.now_ms
-        count_injection = t.progress.count_injection
-        _INTENTS_SITE.family(metrics)
-        handles: dict = {}
-        campaign_value = campaign.value
-        package = info.package
-        intent_stream = _profiled_generation(
-            generate(
-                campaign,
-                seed=config.seed,
-                component=info.name,
-                stride=config.stride_for(campaign),
-            ),
-            profiler,
-        )
-        with tracer.span(
-            "component",
-            clock=clock,
-            component=result.component,
-            kind=info.kind.value,
-            campaign=campaign_value,
-        ):
-            for fuzz_intent in intent_stream:
-                if max_intents is not None and result.sent >= max_intents:
-                    break
-                start_wall = perf_counter()
-                start_virtual = now_ms()
-                profiler.enter("dispatch")
-                try:
-                    outcome, _ = self._inject(info, fuzz_intent, result)
-                finally:
-                    profiler.exit()
-                record_leaf(
-                    "injection",
-                    {"seq": result.sent, "outcome": outcome},
-                    start_wall,
-                    perf_counter(),
-                    start_virtual,
-                    now_ms(),
-                )
-                handle = handles.get(outcome)
-                if handle is None:
-                    handles[outcome] = handle = _INTENTS_SITE.bind(
-                        metrics, (campaign_value, package, outcome)
-                    )
-                handle.pending += 1
-                count_injection()
-                if not self._injection_epilogue(result, config, clock, boots_before):
-                    break
-
     def _injection_epilogue(
         self,
         result: ComponentRunResult,
@@ -520,13 +465,12 @@ class FuzzerLibrary:
         boots_before: int,
         on_batch: Optional[Callable[[], None]] = None,
     ) -> bool:
-        """The per-injection tail every loop variant shares.
+        """The instrumented loop's per-injection tail.
 
         Kill-switch tick, the paper's pacing (intent delay plus the extra
         batch delay every ``batch_size`` injections), reboot detection and
-        quarantine abort -- factored here so the plain, instrumented, and
-        profiled loop bodies (and the guided engine's stream loop) cannot
-        drift apart.  *on_batch* fires at most once per pacing batch; the
+        quarantine abort, step for step as :meth:`fuzz_component_coop`
+        does them.  *on_batch* fires at most once per pacing batch; the
         instrumented loop uses it to settle its heartbeat delta.  Returns
         ``False`` when the component loop must stop.
         """
@@ -696,7 +640,8 @@ class FuzzerLibrary:
         """Cooperative :meth:`fuzz_app`: yields pacing deadlines, returns
         the :class:`AppRunResult` via ``StopIteration``.
 
-        The fleet kernel's per-pair entry point.  Matches the telemetry-off
+        The fleet pair's entry point, run to completion by
+        :func:`~repro.android.clock.drive`.  Matches the telemetry-off
         :meth:`fuzz_app` path exactly (telemetry spans are the blocking
         paths' concern; fleet pairs account at the lane layer), including
         the reboot/quarantine abort order.
@@ -716,7 +661,8 @@ class FuzzerLibrary:
                 kind=info.kind,
                 campaign=campaign,
             )
-            yield from self.fuzz_component_coop(info, campaign, config, component_result)
+            intents = _campaign_intents(campaign, info, config)
+            yield from self.fuzz_component_coop(info, intents, config, component_result)
             app_result.components.append(component_result)
             if component_result.rebooted:
                 app_result.aborted_by_reboot = True

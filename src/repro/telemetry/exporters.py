@@ -27,8 +27,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.telemetry.metrics import (
     CRASHES,
-    FLEET_LANE_OCCUPANCY,
-    FLEET_PAIRS_ACTIVE,
     FLEET_PAIRS_FINISHED,
     INTENTS_SENT,
     Counter,
@@ -124,22 +122,7 @@ def _fleet_section(registry: MetricsRegistry) -> List[str]:
     finished = metrics.get(FLEET_PAIRS_FINISHED)
     if finished is None:
         return []
-    lines = ["", "FLEET"]
-    active = metrics.get(FLEET_PAIRS_ACTIVE)
-    active_now = (
-        sum(child.value for _, child in active.samples()) if active is not None else 0
-    )
-    lines.append(
-        f"pairs: {int(finished.total())} finished, {int(active_now)} active"
-    )
-    occupancy = metrics.get(FLEET_LANE_OCCUPANCY)
-    if occupancy is not None:
-        cells = [
-            f"{labels.get('lane', '?')}={int(child.value)}"
-            for labels, child in occupancy.samples()
-        ]
-        if cells:
-            lines.append(f"lane occupancy (peak pairs): {' '.join(cells)}")
+    lines = ["", "FLEET", f"pairs: {int(finished.total())} finished"]
     crashes = metrics.get(CRASHES)
     sent = metrics.get(INTENTS_SENT)
     if crashes is not None or sent is not None:

@@ -50,9 +50,7 @@ ARM_BUDGET = "guided_arm_budget_intents"
 #: non-fleet export carries none of them.
 CRASHES = "crashes_total"
 INTENTS_SENT = "intents_sent_total"
-FLEET_PAIRS_ACTIVE = "fleet_pairs_active"
 FLEET_PAIRS_FINISHED = "fleet_pairs_finished_total"
-FLEET_LANE_OCCUPANCY = "fleet_lane_occupancy"
 #: Service-plane series, registered lazily by the fuzzing-as-a-service
 #: daemon (:mod:`repro.service.daemon`).
 SERVICE_QUEUE_DEPTH = "service_queue_depth"

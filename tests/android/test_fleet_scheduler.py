@@ -1,16 +1,14 @@
-"""Clock edge cases and the FleetScheduler's earliest-deadline contract.
+"""Clock edge cases the fleet leans on, and the ``drive`` trampoline.
 
-The fleet kernel leans on two Clock behaviours that a blocking run never
-exercises hard: callbacks scheduled re-entrantly at exactly the firing
-deadline (the ambient duty cycle re-arming itself), and cancelled entries
-piling up in the heap (watchdogs armed and abandoned by the thousand over
-a long fleet run).  Both are pinned here, alongside the scheduler's
-earliest-deadline-first semantics.
+The fleet kernel leans on two Clock behaviours that a short blocking run
+never exercises hard: callbacks scheduled re-entrantly at exactly the
+firing deadline (the ambient duty cycle re-arming itself), and cancelled
+entries piling up in the heap (watchdogs armed and abandoned by the
+thousand over a long fleet run).  Both are pinned here, alongside
+:func:`drive`, which runs every paced injection generator.
 """
 
-import pytest
-
-from repro.android.clock import _COMPACT_MIN_QUEUE, Clock, FleetScheduler
+from repro.android.clock import _COMPACT_MIN_QUEUE, Clock, drive
 
 
 class TestReentrantScheduling:
@@ -124,103 +122,10 @@ class TestCancellation:
         assert clock.pending_count() == 0
 
 
-def _ticker(key, clock, deadlines, trace):
-    for deadline in deadlines:
-        yield deadline
-        trace.append((key, clock.now_ms()))
-    return f"{key}-done"
+class TestDrive:
+    """The trampoline every paced injection loop runs under."""
 
-
-class TestFleetScheduler:
-    def test_earliest_deadline_interleaving(self):
-        sched = FleetScheduler()
-        trace = []
-        a_clock, b_clock = Clock(), Clock()
-        sched.add("a", a_clock, _ticker("a", a_clock, [10.0, 30.0], trace))
-        sched.add("b", b_clock, _ticker("b", b_clock, [5.0, 40.0], trace))
-        results = sched.run()
-        # Resumed strictly by earliest next deadline across the fleet,
-        # each on its own clock.
-        assert trace == [("b", 5.0), ("a", 10.0), ("a", 30.0), ("b", 40.0)]
-        assert results == {"a": "a-done", "b": "b-done"}
-        assert sched.active == 0
-        assert sched.peak_active == 2
-        assert sched.steps == 4
-
-    def test_ties_break_by_admission_order(self):
-        sched = FleetScheduler()
-        trace = []
-        clocks = {key: Clock() for key in "abc"}
-        for key in ("c", "a", "b"):
-            sched.add(key, clocks[key], _ticker(key, clocks[key], [7.0], trace))
-        sched.run()
-        assert [key for key, _ in trace] == ["c", "a", "b"]
-
-    def test_clocks_stay_independent(self):
-        sched = FleetScheduler()
-        trace = []
-        fast, slow = Clock(), Clock()
-        sched.add("fast", fast, _ticker("fast", fast, [1.0, 2.0, 3.0], trace))
-        sched.add("slow", slow, _ticker("slow", slow, [1_000.0], trace))
-        sched.run()
-        assert fast.now_ms() == 3.0
-        assert slow.now_ms() == 1_000.0
-
-    def test_duplicate_key_rejected(self):
-        sched = FleetScheduler()
-        clock = Clock()
-        sched.add("pair", clock, _ticker("pair", clock, [1.0], []))
-        with pytest.raises(ValueError, match="duplicate"):
-            sched.add("pair", Clock(), _ticker("pair", Clock(), [1.0], []))
-
-    def test_yielding_a_past_deadline_is_an_error(self):
-        sched = FleetScheduler()
-        clock = Clock(start_ms=100.0)
-
-        def stale():
-            yield 50.0
-
-        with pytest.raises(ValueError, match="past"):
-            sched.add("stale", clock, stale())
-
-    def test_yielding_now_is_allowed(self):
-        # Guided pairs yield at round boundaries without sleeping; a
-        # deadline equal to the pair's current time must be accepted.
-        sched = FleetScheduler()
-        clock = Clock()
-
-        def stationary():
-            yield clock.now_ms()
-            yield clock.now_ms()
-            return "ok"
-
-        sched.add("s", clock, stationary())
-        assert sched.run() == {"s": "ok"}
-
-    def test_task_finishing_on_admission_records_its_result(self):
-        sched = FleetScheduler()
-
-        def instant():
-            return "done"
-            yield  # pragma: no cover - makes this a generator
-
-        sched.add("i", Clock(), instant())
-        assert sched.results() == {"i": "done"}
-        assert sched.active == 0
-        assert sched.peak_active == 1
-
-    def test_run_some_bounds_resumptions_and_reports_remaining_work(self):
-        sched = FleetScheduler()
-        clock = Clock()
-        sched.add("t", clock, _ticker("t", clock, [1.0, 2.0, 3.0], []))
-        assert sched.run_some(2) is True
-        assert sched.steps == 2
-        assert sched.run_some(10) is False
-        assert sched.steps == 3
-        assert sched.results() == {"t": "t-done"}
-
-    def test_scheduler_advances_the_tasks_clock_before_resuming(self):
-        sched = FleetScheduler()
+    def test_drive_advances_the_clock_before_resuming(self):
         clock = Clock()
         fired = []
         clock.call_at(5.0, lambda: fired.append(clock.now_ms()))
@@ -229,9 +134,27 @@ class TestFleetScheduler:
             yield 10.0
             return clock.now_ms()
 
-        sched.add("sleeper", clock, sleeper())
-        results = sched.run()
         # Advancing to the yielded deadline ran the due clock callback
         # first, exactly as a blocking clock.sleep would have.
+        assert drive(sleeper(), clock) == 10.0
         assert fired == [5.0]
-        assert results == {"sleeper": 10.0}
+
+    def test_yielding_now_is_allowed(self):
+        clock = Clock(start_ms=7.0)
+
+        def stationary():
+            yield clock.now_ms()
+            yield clock.now_ms()
+            return "ok"
+
+        assert drive(stationary(), clock) == "ok"
+        assert clock.now_ms() == 7.0
+
+    def test_task_finishing_at_once_returns_its_result(self):
+        def instant():
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+
+        clock = Clock()
+        assert drive(instant(), clock) == "done"
+        assert clock.now_ms() == 0.0

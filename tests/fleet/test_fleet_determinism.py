@@ -1,10 +1,10 @@
 """The fleet kernel's central contract: packing never changes the study.
 
 A pair's summary is a pure function of its spec, lanes are strided slices
-of the same plan, and the merge re-orders by pair id -- so the merged
-fleet and the rendered population report must be byte-identical at any
-``(lanes x workers)`` packing, with or without a chaos fault plan, blind
-or guided, and through a kill/resume cycle.
+of the same plan (one per worker), and the merge re-orders by pair id --
+so the merged fleet and the rendered population report must be
+byte-identical at any worker count, with or without a chaos fault plan,
+blind or guided, and through a kill/resume cycle.
 """
 
 import pytest
@@ -56,47 +56,42 @@ def _fingerprint(result):
 
 class TestPackingInvariance:
     def test_64_pair_fleet_identical_across_lanes_and_workers(self):
-        reference = _fingerprint(run_fleet_study(64, config=TINY, lanes=1))
-        for lanes in (4, 16):
-            for workers in (1, 2):
-                run = run_fleet_study(64, config=TINY, lanes=lanes, workers=workers)
-                assert _fingerprint(run) == reference, (lanes, workers)
+        reference = _fingerprint(run_fleet_study(64, config=TINY))
+        for workers in (2, 4):
+            run = run_fleet_study(64, config=TINY, workers=workers)
+            assert _fingerprint(run) == reference, workers
         assert reference["summaries"][0]["sent"] > 0
+
+    def test_each_worker_runs_one_lane(self):
+        serial = run_fleet_study(16, config=TINY)
+        fanned = run_fleet_study(16, config=TINY, workers=2)
+        assert len(serial.health.shards) == 1
+        assert len(fanned.health.shards) == 2
+        assert _fingerprint(fanned) == _fingerprint(serial)
 
     def test_packing_invariance_under_a_chaos_plan(self):
         with faults.session(CHAOS):
-            reference = _fingerprint(run_fleet_study(32, config=TINY, lanes=1))
+            reference = _fingerprint(run_fleet_study(32, config=TINY))
         with faults.session(CHAOS):
-            strided = _fingerprint(run_fleet_study(32, config=TINY, lanes=4))
-        with faults.session(CHAOS):
-            fanned = _fingerprint(
-                run_fleet_study(32, config=TINY, lanes=4, workers=2)
-            )
-        assert strided == reference
+            fanned = _fingerprint(run_fleet_study(32, config=TINY, workers=2))
         assert fanned == reference
         # The chaos plan actually bit: lmkd pressure on every cohort.
-        clean = _fingerprint(run_fleet_study(32, config=TINY, lanes=1))
+        clean = _fingerprint(run_fleet_study(32, config=TINY))
         assert clean != reference
 
     def test_guided_fleet_keeps_the_packing_invariance(self):
         guided = GuidedConfig(scheduler="ucb", block_size=16, budget=48)
-        reference = _fingerprint(
-            run_fleet_study(12, config=TINY, lanes=1, guided=guided)
-        )
-        strided = _fingerprint(
-            run_fleet_study(12, config=TINY, lanes=4, guided=guided)
-        )
+        reference = _fingerprint(run_fleet_study(12, config=TINY, guided=guided))
         fanned = _fingerprint(
-            run_fleet_study(12, config=TINY, lanes=4, workers=2, guided=guided)
+            run_fleet_study(12, config=TINY, workers=2, guided=guided)
         )
-        assert strided == reference
         assert fanned == reference
         assert all(s["sent"] == 48 for s in reference["summaries"])
 
     def test_telemetry_counters_are_packing_invariant(self):
-        def counters(lanes, workers):
+        def counters(workers):
             with telemetry.session() as t:
-                run_fleet_study(24, config=TINY, lanes=lanes, workers=workers)
+                run_fleet_study(24, config=TINY, workers=workers)
                 return {
                     (metric.name, tuple(sorted(labels.items()))): child.value
                     for metric in t.metrics.collect()
@@ -104,41 +99,39 @@ class TestPackingInvariance:
                     for labels, child in metric.samples()
                 }
 
-        reference = counters(1, 1)
+        reference = counters(1)
         assert reference  # the fleet actually recorded counters
-        assert counters(4, 1) == reference
-        assert counters(4, 2) == reference
+        assert counters(2) == reference
 
 
 class TestKillResumeIdentity:
     def test_killed_fleet_resumes_to_the_identical_merged_fleet(self, tmp_path):
         journal = str(tmp_path / "fleet.jsonl")
-        clean = run_fleet_study(16, config=TINY, lanes=4)
+        clean = run_fleet_study(16, config=TINY)
         reference = _fingerprint(clean)
         with pytest.raises(CampaignKilled):
             run_fleet_study(
                 16,
                 config=TINY,
-                lanes=4,
+                workers=2,
                 journal_path=journal,
                 kill_after_injections=clean.intents_sent // 2,
             )
         resumed = run_fleet_study(
-            0, config=TINY, journal_path=journal, resume=True
+            0, config=TINY, workers=2, journal_path=journal, resume=True
         )
         assert _fingerprint(resumed) == reference
         assert resumed.fleet_size == 16
-        assert resumed.lanes == 4
+        assert len(resumed.health.shards) == 2
 
     def test_resume_of_a_guided_fleet_restores_its_guided_config(self, tmp_path):
         journal = str(tmp_path / "fleet.jsonl")
         guided = GuidedConfig(scheduler="ucb", block_size=16, budget=48)
-        clean = run_fleet_study(8, config=TINY, lanes=2, guided=guided)
+        clean = run_fleet_study(8, config=TINY, guided=guided)
         with pytest.raises(CampaignKilled):
             run_fleet_study(
                 8,
                 config=TINY,
-                lanes=2,
                 guided=guided,
                 journal_path=journal,
                 kill_after_injections=clean.intents_sent // 2,
@@ -167,7 +160,7 @@ class TestKillResumeIdentity:
         from repro.experiments.wear_experiment import run_wear_study
 
         journal = str(tmp_path / "fleet.jsonl")
-        run_fleet_study(8, config=TINY, lanes=2, journal_path=journal)
+        run_fleet_study(8, config=TINY, workers=2, journal_path=journal)
         before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
         assert {"fleet.jsonl.shard-000", "fleet.jsonl.shard-001"} <= set(before)
         with pytest.raises(ValueError, match="'fleet' study, not a wear study"):

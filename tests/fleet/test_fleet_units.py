@@ -22,13 +22,12 @@ from repro.faults.plan import FaultPlan
 from repro.fleet import (
     cohort_plan,
     lane_fingerprint,
-    pair_task,
     plan_lanes,
     plan_pairs,
+    run_pair,
     shared_corpus,
 )
 from repro.fleet.pairs import PairSummary
-from repro.android.clock import Clock, FleetScheduler
 from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import FuzzConfig
 
@@ -279,31 +278,20 @@ class TestLaneFingerprint:
         assert lane_fingerprint(guided) != base
 
 
-class TestTrampolineEquivalence:
-    def test_blocking_trampoline_matches_a_scheduler_run(self):
+class TestRunPair:
+    def test_a_pair_is_unaffected_by_the_pairs_run_before_it(self):
         corpus = shared_corpus(TINY.corpus_seed)
-        packages = [corpus.apps[0].package.package]
-        spec = plan_pairs(1, "budget", TINY, packages, (Campaign.A, Campaign.B))[0]
+        packages = [app.package.package for app in corpus.apps[:2]]
+        first, second = plan_pairs(2, "budget", TINY, packages, (Campaign.A, Campaign.B))
 
-        # Blocking drive: advance to every yielded deadline immediately --
-        # exactly what clock.sleep does in a one-pair blocking run.
-        clock = Clock()
-        task = pair_task(spec, corpus, clock=clock)
-        try:
-            deadline = next(task)
-            while True:
-                clock.advance_to(deadline)
-                deadline = task.send(None)
-        except StopIteration as stop:
-            blocking = stop.value
+        # A lane runs its pairs one after another in one process; the
+        # second pair must not see anything the first one left behind.
+        alone = run_pair(second, corpus)
+        run_pair(first, corpus)
+        after_another = run_pair(second, corpus)
 
-        sched = FleetScheduler()
-        fleet_clock = Clock()
-        sched.add(spec.name, fleet_clock, pair_task(spec, corpus, clock=fleet_clock))
-        multiplexed = sched.run()[spec.name]
-
-        assert multiplexed == blocking
-        assert fleet_clock.now_ms() == clock.now_ms()
+        assert after_another == alone
+        assert alone.sent > 0 and alone.clock_ms > 0
 
 
 class TestRunnerValidation:
@@ -311,9 +299,9 @@ class TestRunnerValidation:
         "argv",
         [
             ["quick", "--cohorts", "flagship"],          # cohorts without --fleet
-            ["quick", "--lanes", "4"],                   # lanes without --fleet
+            ["quick", "--fleet", "x"],                   # fleet size not an int
             ["quick", "--fleet", "0"],                   # fleet size floor
-            ["quick", "--fleet", "4", "--lanes", "0"],   # lane floor
+            ["quick", "--fleet", "4", "--workers", "0"], # worker floor
             ["quick", "--fleet", "4", "--cohorts", "nope"],
             ["quick", "--fleet", "4", "--json", "out.json"],
             ["quick", "--workers", "many"],
@@ -328,13 +316,8 @@ class TestRunnerValidation:
     def test_fleet_run_prints_the_population_report(self, capsys):
         from repro.experiments import runner
 
-        assert (
-            runner.main(
-                ["quick", "--fleet", "2", "--cohorts", "legacy", "--lanes", "2"]
-            )
-            == 0
-        )
+        assert runner.main(["quick", "--fleet", "2", "--cohorts", "legacy"]) == 0
         out = capsys.readouterr().out
         assert "Fleet population report" in out
         assert "legacy" in out
-        assert "2 pairs in 2 lane(s)" in out
+        assert "across 2 pairs, " in out

@@ -164,14 +164,8 @@ class TestFleetSection:
         with telemetry.session() as t:
             assert "FLEET" not in render_summary(t)
 
-    def test_fleet_block_renders_pairs_lanes_and_cohort_table(self):
-        from repro.fleet.lane import (
-            CRASHES_SITE,
-            INTENTS_SENT_SITE,
-            LANE_OCCUPANCY_SITE,
-            PAIRS_ACTIVE_SITE,
-            PAIRS_FINISHED_SITE,
-        )
+    def test_fleet_block_renders_pairs_and_cohort_table(self):
+        from repro.fleet.lane import CRASHES_SITE, INTENTS_SENT_SITE, PAIRS_FINISHED_SITE
 
         with telemetry.session() as t:
             metrics = t.metrics
@@ -180,13 +174,9 @@ class TestFleetSection:
             CRASHES_SITE.bind(metrics, ("aging",)).inc(1)
             INTENTS_SENT_SITE.bind(metrics, ("aging",)).inc(500)
             PAIRS_FINISHED_SITE.bind(metrics).inc(8)
-            PAIRS_ACTIVE_SITE.bind(metrics).set(2)
-            LANE_OCCUPANCY_SITE.bind(metrics, ("000",)).set(3)
-            LANE_OCCUPANCY_SITE.bind(metrics, ("001",)).set(2)
             t.flush()
             text = render_summary(t)
         assert "FLEET" in text
-        assert "pairs: 8 finished, 2 active" in text
-        assert "lane occupancy (peak pairs): 000=3 001=2" in text
+        assert "pairs: 8 finished\n" in text
         # Cohort rows render in sorted name order.
         assert text.index("aging") < text.index("budget")
