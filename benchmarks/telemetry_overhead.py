@@ -29,10 +29,18 @@ tens of milliseconds):
    keeping the best.  Noise (a GC pause, an interrupt, a frequency dip)
    only ever adds time, so the fastest window is the cleanest estimate of
    the code's true cost -- the same reason ``timeit`` reports the min.
+
+Each ratio is the median over the rotations; ``overhead_ratio_quartiles``
+records the spread of the paired ``on`` ratios behind it.  The payload
+also names the host: CPU count, Python version and commit (``git
+describe --always --dirty``).
 """
 
 import json
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -42,9 +50,24 @@ from repro.qgj.campaigns import Campaign
 from repro.qgj.fuzzer import FuzzConfig, FuzzerLibrary
 from repro.wear.device import WearDevice
 
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 ROUNDS = 20
 ROTATIONS = 9
 INTENTS_PER_ROUND = 141
+
+
+def _commit() -> str:
+    """HEAD as ``git describe`` names it, ``-dirty`` for uncommitted edits."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=ROOT,
+            capture_output=True,
+            text=True,
+        )
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() or "unknown"
 
 
 def measure(rounds: int = ROUNDS, rotations: int = ROTATIONS) -> dict:
@@ -105,8 +128,12 @@ def measure(rounds: int = ROUNDS, rotations: int = ROTATIONS) -> dict:
             best[name] = max(best[name], wall_rate)
             ratios[name].append(off_cpu / cpu_rate)
 
+    q1, _, q3 = statistics.quantiles(ratios["on"], n=4, method="inclusive")
     return {
         "bench": "telemetry_overhead",
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": _commit(),
         "intents_per_round": INTENTS_PER_ROUND,
         "rounds": rounds,
         "rotations": rotations,
@@ -115,6 +142,7 @@ def measure(rounds: int = ROUNDS, rotations: int = ROTATIONS) -> dict:
         "intents_per_sec_sampled_100": round(best["sampled"], 1),
         "intents_per_sec_profiled": round(best["profiled"], 1),
         "overhead_ratio": round(statistics.median(ratios["on"]), 3),
+        "overhead_ratio_quartiles": [round(q1, 3), round(q3, 3)],
         "overhead_ratio_sampled": round(statistics.median(ratios["sampled"]), 3),
         "overhead_ratio_profiled": round(statistics.median(ratios["profiled"]), 3),
     }

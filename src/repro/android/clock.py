@@ -9,9 +9,9 @@ instantly, while every relative relationship (pacing vs. ANR timeout vs.
 aging decay window) is preserved.
 
 The clock also provides a tiny deadline scheduler used by the ANR watchdog
-and the system server's health checks, and :func:`drive`, the one
-trampoline that runs a deadline-yielding generator (the fuzzer's paced
-injection loop) to completion on a device's clock.
+and the system server's health checks.  The fuzzer paces its injections
+with plain :meth:`Clock.sleep` calls; every callback due in the slept
+interval fires, in deadline order, before the sleep returns.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
-from typing import Any, Callable, Generator, List, Optional
+from typing import Callable, List, Optional
 
 # Compacting a tiny queue costs more bookkeeping than it saves; below this
 # size cancelled entries are simply left for advance_to/drain to skip.
@@ -148,19 +148,3 @@ class ScheduledHandle:
     @property
     def deadline_ms(self) -> float:
         return self._call.deadline_ms
-
-
-def drive(task: Generator[float, None, Any], clock: Clock) -> Any:
-    """Run a deadline-yielding generator to completion on *clock*.
-
-    *task* yields the absolute virtual deadline of every sleep it wants
-    ("wake me when the clock reaches t"); advancing to each one at once is
-    exactly what an inline :meth:`Clock.sleep` would have done.  Returns
-    the generator's return value.
-    """
-    advance = clock.advance_to
-    try:
-        while True:
-            advance(next(task))
-    except StopIteration as stop:
-        return stop.value

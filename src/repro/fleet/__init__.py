@@ -26,8 +26,8 @@ Layers, bottom up:
 
 Determinism contract: a pair's summary is a pure function of its spec, so
 the merged fleet is byte-identical at any worker count, and a pair run in
-a fleet reproduces a blocking run of the same pair exactly (both drive
-the same telemetry-off injection generator, see :mod:`repro.qgj.fuzzer`).
+a fleet reproduces a blocking run of the same pair exactly (both run the
+fuzzer's one paced injection loop, see :mod:`repro.qgj.fuzzer`).
 """
 
 from __future__ import annotations

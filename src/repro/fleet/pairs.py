@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.android.clock import drive
 from repro.android.runtime import RuntimeContext
 from repro.apps.catalog import Corpus
 from repro.apps.profiles import BATTERY_LOW_PCT, FLEET_COHORTS, DeviceProfile
@@ -248,9 +247,9 @@ def run_pair(
 ) -> PairSummary:
     """Run one pair to completion; returns its :class:`PairSummary`.
 
-    Blind campaigns go through :meth:`FuzzerLibrary.fuzz_app_coop`, run by
-    the :func:`~repro.android.clock.drive` trampoline on the watch's own
-    clock, so fleet injections stay off the telemetry loop.
+    Blind campaigns go through :meth:`FuzzerLibrary.fuzz_app_coop`, which
+    paces on the watch's own clock and records no telemetry, so fleet
+    injections are accounted at the lane layer only.
     *telemetry_handle* scopes the pair's device tree to the lane's handle
     -- in a worker process the global fallback would be a disabled handle
     and every device-level counter would silently vanish from the merged
@@ -294,9 +293,8 @@ def run_pair(
                 quarantined += 1
             continue
         for campaign in spec.campaigns:
-            app_result = drive(
-                fuzzer.fuzz_app_coop(package_name, campaign, spec.config.fuzz),
-                watch.clock,
+            app_result = fuzzer.fuzz_app_coop(
+                package_name, campaign, spec.config.fuzz
             )
             sent += app_result.sent
             for component in app_result.components:

@@ -17,14 +17,14 @@ A device reboot mid-campaign aborts the rest of the *current app* (the
 session to the device is lost; the operator resumes with the next app) --
 which is also why each observed reboot appears exactly once per run.
 
-There are two per-intent loops.  With telemetry off, every entry point
-(blocking :meth:`FuzzerLibrary.fuzz_component`, the guided
-:meth:`~FuzzerLibrary.fuzz_intent_stream`, the fleet's
-:meth:`~FuzzerLibrary.fuzz_app_coop`) runs the one generator
-:meth:`~FuzzerLibrary.fuzz_component_coop`, which yields its pacing
-deadlines to the :func:`~repro.android.clock.drive` trampoline.  With
-telemetry on, ``_fuzz_component_instrumented`` records spans and metrics
-inline; the self-profiler only swaps its hoisted callables.
+There is one per-intent loop, :meth:`FuzzerLibrary._paced_loop`: a plain
+``for`` over the intents that sleeps the device clock between them.  Every
+entry point runs it (:meth:`~FuzzerLibrary.fuzz_component`,
+:meth:`~FuzzerLibrary.fuzz_app`, the fleet's
+:meth:`~FuzzerLibrary.fuzz_app_coop`, the guided
+:meth:`~FuzzerLibrary.fuzz_intent_stream`); they differ only in the
+``inject`` callable they hand it.  Telemetry, the self-profiler and the
+guided observer each wrap :meth:`~FuzzerLibrary._inject`.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Callable, Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.android.activity_manager import DispatchResult
-from repro.android.clock import drive
 from repro.android.component import ComponentInfo, ComponentKind
 from repro.android.device import Device
 from repro.android.jtypes import ActivityNotFoundException, SecurityException
@@ -97,7 +96,7 @@ class FuzzConfig:
         return self.stride
 
 
-#: The fuzzer's one hot-path metric, declared once next to the loop that
+#: The fuzzer's one hot-path metric, declared once next to the wrapper that
 #: records it.  Binding (per component × outcome) is the cold half; the per
 #: injection cost is one batched ``handle.inc()``.
 _INTENTS_SITE = CounterSite(
@@ -111,32 +110,49 @@ InjectionObserver = Callable[
     [ComponentInfo, FuzzIntent, str, Optional[DispatchResult]], None
 ]
 
+#: Sends one intent: ``(info, intent, result) -> (outcome, dispatch)``.
+Inject = Callable[
+    [ComponentInfo, FuzzIntent, ComponentRunResult],
+    Tuple[str, Optional[DispatchResult]],
+]
+
 #: Attribute keys of the inline leaf-ring entry (see
-#: ``_fuzz_component_instrumented``): one shared tuple instead of a fresh
-#: two-key dict per injection.  Order matters -- materialized spans must
-#: carry ``{"seq": ..., "outcome": ...}`` exactly as ``record_leaf`` would.
+#: :func:`_recording_inject`): one shared tuple instead of a fresh two-key
+#: dict per injection.  Order matters -- materialized spans must carry
+#: ``{"seq": ..., "outcome": ...}`` exactly as ``record_leaf`` would.
 _LEAF_KEYS = ("seq", "outcome")
 
 
 def _profiled_generation(iterable, profiler):
-    """Charge the time spent *pulling* from a generator to ``generate``.
+    """Charge the time spent *pulling* from an intent stream to ``generate``.
 
-    Campaign intents come from a lazy generator, so their construction cost
-    hides inside the for-loop header; this wrapper brackets each ``next()``
-    so the self-profiler attributes it correctly.
+    Campaign intents come from a lazy stream, so their construction cost
+    hides inside the for-loop header; the returned iterator brackets each
+    pull so the self-profiler attributes it correctly.
     """
-    it = iter(iterable)
+    pull = iter(iterable).__next__
     enter = profiler.enter
     leave = profiler.exit
-    while True:
+    exhausted = object()
+
+    def profiled_pull():
         enter("generate")
         try:
-            item = next(it)
+            return pull()
         except StopIteration:
-            return
+            return exhausted
         finally:
             leave()
-        yield item
+
+    return iter(profiled_pull, exhausted)
+
+
+def _new_result(info: ComponentInfo, campaign: Campaign) -> ComponentRunResult:
+    return ComponentRunResult(
+        component=info.name.flatten_to_string(),
+        kind=info.kind,
+        campaign=campaign,
+    )
 
 
 def _campaign_intents(campaign: Campaign, info: ComponentInfo, config: FuzzConfig):
@@ -149,7 +165,7 @@ def _campaign_intents(campaign: Campaign, info: ComponentInfo, config: FuzzConfi
     )
 
 
-def _profiled_dispatch(inject, profiler):
+def _profiled_dispatch(inject: Inject, profiler) -> Inject:
     """Bracket every call of *inject* in the profiler's ``dispatch`` phase."""
     enter = profiler.enter
     leave = profiler.exit
@@ -162,6 +178,135 @@ def _profiled_dispatch(inject, profiler):
             leave()
 
     return profiled
+
+
+def _observed(inject: Inject, observer: InjectionObserver) -> Inject:
+    """Show every call of *inject* to *observer* after it returns."""
+
+    def observed(info, fuzz_intent, result):
+        outcome, dispatch = inject(info, fuzz_intent, result)
+        observer(info, fuzz_intent, outcome, dispatch)
+        return outcome, dispatch
+
+    return observed
+
+
+def _recording_inject(
+    inject: Inject,
+    t,
+    clock,
+    info: ComponentInfo,
+    campaign: Campaign,
+    result: ComponentRunResult,
+    batch_size: int,
+) -> Tuple[Inject, Callable[[], None]]:
+    """Wrap *inject* so every call is recorded in the telemetry handle *t*.
+
+    Call it inside the open ``component`` span; it returns the recording
+    ``inject`` and a ``settle`` to call once when the loop ends.
+
+    Everything resolvable is hoisted here, once per component: the metric
+    family (registered up front so its TYPE/HELP lines appear even for a
+    component that sends nothing), the per-outcome bound handles and the
+    tracer's leaf-ring state.  The record itself is written *inline*: at
+    ~100k injections/s a method call costs more than the record it would
+    make.  This wrapper is the one blessed inline client of the leaf ring;
+    ``tests/telemetry/test_trace.py`` asserts its compact tuple
+    materializes exactly what :meth:`Tracer.record_leaf` would have
+    recorded.  When sampling is on it simply calls ``record_leaf``.
+
+    Heartbeat ticks and ring-eviction drops are settled from ``sent``
+    deltas, not counted per injection: the heartbeat at the first call
+    after each pacing batch (the loop has slept the batch delay by then)
+    and in ``settle``, the tracer's dropped count once in ``settle``
+    (every inline append past capacity evicted exactly one record).
+    """
+    tracer = t.tracer
+    metrics = t.metrics
+    perf_counter = time.perf_counter
+    _INTENTS_SITE.family(metrics)
+    handles: dict = {}
+    campaign_value = campaign.value
+    package = info.package
+    heartbeat = t.progress
+    heartbeat.count_injections(0)  # pin the rate baseline to campaign start
+    sampling = tracer.sample_every != 1
+    record_leaf = tracer.record_leaf
+    finished = tracer._finished
+    finished_append = finished.append
+    next_id = tracer._ids.__next__
+    # The open-span stack cannot change while the loop runs (leaf spans
+    # never push), so the injection spans' parent is a constant.
+    stack = tracer._stack
+    parent_id = stack[-1].span_id if stack else None
+    ring_len_start = len(finished)
+    # _inject increments result.sent exactly once per call, so its deltas
+    # stand in for per-call tick counters.
+    sent_start = hb_mark = result.sent
+
+    def recorded(info, fuzz_intent, result):
+        nonlocal hb_mark
+        sent = result.sent
+        if sent % batch_size == 0 and sent != hb_mark:
+            heartbeat.count_injections(sent - hb_mark)
+            hb_mark = sent
+        start_wall = perf_counter()
+        start_virtual = clock._now_ms
+        outcome, dispatch = inject(info, fuzz_intent, result)
+        end_wall = perf_counter()
+        sent = result.sent
+        if sampling:
+            record_leaf(
+                "injection",
+                {"seq": sent, "outcome": outcome},
+                start_wall,
+                end_wall,
+                start_virtual,
+                clock._now_ms,
+            )
+        else:
+            # Inline Tracer.record_leaf (see docstring): one flat ring
+            # entry, attribute values trailing the shared key tuple.
+            # Eviction is the deque's own maxlen drop; the dropped *count*
+            # is settled once in settle(), not per record.
+            finished_append(
+                (
+                    next_id(),
+                    parent_id,
+                    "injection",
+                    _LEAF_KEYS,
+                    start_wall,
+                    end_wall,
+                    start_virtual,
+                    clock._now_ms,
+                    sent,
+                    outcome,
+                )
+            )
+        # Direct slot store: BoundCounter.inc(1) without the call.  A
+        # handful of outcomes over thousands of injections makes
+        # try/except cheaper than .get().
+        try:
+            handles[outcome].pending += 1
+        except KeyError:
+            handles[outcome] = handle = _INTENTS_SITE.bind(
+                metrics, (campaign_value, package, outcome)
+            )
+            handle.pending += 1
+        return outcome, dispatch
+
+    def settle() -> None:
+        sent = result.sent
+        if sent != hb_mark:
+            heartbeat.count_injections(sent - hb_mark)
+        if not sampling:
+            # One inline append per injection: whatever the loop pushed
+            # past capacity evicted that many records.
+            overflow = ring_len_start + (sent - sent_start) - finished.maxlen
+            if overflow > 0:
+                tracer._dropped += overflow
+
+    return recorded, settle
 
 
 #: Quick scale: every component still sees every action and every corruption
@@ -206,24 +351,47 @@ class FuzzerLibrary:
         campaign: Campaign,
         config: FuzzConfig = QUICK_CONFIG,
     ) -> ComponentRunResult:
-        """Run *campaign* against one component."""
-        result = ComponentRunResult(
-            component=info.name.flatten_to_string(),
-            kind=info.kind,
-            campaign=campaign,
-        )
+        """Run *campaign* against one component.
+
+        With telemetry on, the run sits in a ``component`` span and every
+        injection is recorded by :func:`_recording_inject`; under
+        ``--profile`` the generation and dispatch wrappers are substituted
+        too.  The loop itself is the same either way.
+        """
         t = self._device.runtime.telemetry
-        if t.enabled:
-            self._fuzz_component_instrumented(info, campaign, config, result, t)
-        else:
-            # The telemetry-off loop, called directly: no wrapper level
-            # between the trampoline and the generator.
-            drive(
-                self.fuzz_component_coop(
-                    info, _campaign_intents(campaign, info, config), config, result
-                ),
-                self._device.clock,
+        if not t.enabled:
+            return self._fuzz_component_quiet(info, campaign, config)
+        result = _new_result(info, campaign)
+        clock = self._device.clock
+        intents = _campaign_intents(campaign, info, config)
+        inject = self._inject
+        profiler = t.profiler
+        if profiler.enabled:
+            intents = _profiled_generation(intents, profiler)
+            inject = _profiled_dispatch(inject, profiler)
+        with t.tracer.span(
+            "component",
+            clock=clock,
+            component=result.component,
+            kind=info.kind.value,
+            campaign=campaign.value,
+        ):
+            recorded, settle = _recording_inject(
+                inject, t, clock, info, campaign, result, config.batch_size
             )
+            try:
+                self._paced_loop(info, intents, config, result, recorded)
+            finally:
+                settle()
+        return result
+
+    def _fuzz_component_quiet(
+        self, info: ComponentInfo, campaign: Campaign, config: FuzzConfig
+    ) -> ComponentRunResult:
+        """:meth:`fuzz_component` with nothing recorded."""
+        result = _new_result(info, campaign)
+        intents = _campaign_intents(campaign, info, config)
+        self._paced_loop(info, intents, config, result, self._inject)
         return result
 
     def fuzz_intent_stream(
@@ -240,252 +408,59 @@ class FuzzerLibrary:
         The guided fuzzer's entry point: the caller owns intent selection
         (corpus mutation, spliced pools, replay) while the injection
         semantics -- pacing, kill switch, reboot abort, quarantine -- are
-        the campaign loop's own, because this drives the same
-        :meth:`fuzz_component_coop` generator.  *observer*, when given,
-        sees every injection as ``(info, intent, outcome, dispatch)`` so
-        callers can fingerprint behaviours without re-entering the dispatch
-        path.  Passing *result* lets one accounting object span several
-        streams.
+        the campaign loop's own, because this runs the same
+        :meth:`_paced_loop`.  *observer*, when given, sees every injection
+        as ``(info, intent, outcome, dispatch)`` so callers can fingerprint
+        behaviours without re-entering the dispatch path.  Passing *result*
+        lets one accounting object span several streams.
         """
         if result is None:
-            result = ComponentRunResult(
-                component=info.name.flatten_to_string(),
-                kind=info.kind,
-                campaign=campaign,
-            )
-        drive(
-            self.fuzz_component_coop(info, intents, config, result, observer),
-            self._device.clock,
-        )
+            result = _new_result(info, campaign)
+        inject = self._inject
+        if observer is not None:
+            inject = _observed(inject, observer)
+        self._paced_loop(info, intents, config, result, inject)
         return result
 
-    def fuzz_component_coop(
+    def _paced_loop(
         self,
         info: ComponentInfo,
         intents: Iterable[FuzzIntent],
         config: FuzzConfig,
         result: ComponentRunResult,
-        observer: Optional[InjectionObserver] = None,
-    ) -> Generator[float, None, None]:
-        """The telemetry-off injection loop: yields instead of sleeping.
+        inject: Inject,
+    ) -> None:
+        """The one per-intent loop, paced on the device's virtual clock.
 
-        Each ``yield`` hands the caller the absolute virtual deadline the
-        paper's pacing calls for (100 ms between intents, +250 ms per
-        batch); the caller must advance this device's clock to the deadline
-        before resuming, which :func:`~repro.android.clock.drive` does at
-        once.  Every telemetry-off path runs this one generator: blocking
-        :meth:`fuzz_component`, the guided :meth:`fuzz_intent_stream` and
-        the fleet's :meth:`fuzz_app_coop`.  Its per-injection tail (kill
-        tick, pacing, reboot abort, quarantine abort) mirrors
-        :meth:`_injection_epilogue`, the instrumented loop's;
-        ``tests/qgj/test_injection_paths.py`` keeps the two from drifting
-        apart.
+        Each step: cap check, *inject*, kill-switch tick, the paper's
+        pacing (the intent delay, plus the batch delay every
+        ``batch_size`` intents), reboot abort, quarantine abort.
+        ``tests/qgj/test_injection_paths.py`` holds every entry point to
+        the same results and final clock.
         """
-        clock = self._device.clock
         device = self._device
+        sleep = device.clock.sleep
         boots_before = device.boot_count
         max_intents = config.max_intents_per_component
         kill_switch = self.kill_switch
-        inject = self._inject
+        intent_delay_ms = config.intent_delay_ms
+        batch_delay_ms = config.batch_delay_ms
+        batch_size = config.batch_size
         for fuzz_intent in intents:
             if max_intents is not None and result.sent >= max_intents:
                 break
-            outcome, dispatch = inject(info, fuzz_intent, result)
-            if observer is not None:
-                observer(info, fuzz_intent, outcome, dispatch)
+            inject(info, fuzz_intent, result)
             if kill_switch is not None:
                 kill_switch.tick()
-            yield clock.now_ms() + config.intent_delay_ms
-            if result.sent % config.batch_size == 0:
-                yield clock.now_ms() + config.batch_delay_ms
+            sleep(intent_delay_ms)
+            if result.sent % batch_size == 0:
+                sleep(batch_delay_ms)
             if device.boot_count != boots_before:
                 result.rebooted = True
                 result.aborted = True
                 return
             if result.quarantined:
                 return
-
-    def _fuzz_component_instrumented(
-        self,
-        info: ComponentInfo,
-        campaign: Campaign,
-        config: FuzzConfig,
-        result: ComponentRunResult,
-        t,
-    ) -> None:
-        """The instrumented loop: handles bound up front, recording inlined.
-
-        Everything resolvable is hoisted out of the loop -- the metric
-        family (registered up front so the series' TYPE/HELP lines appear
-        even for a component that sends nothing), the per-outcome bound
-        handles, the tracer's leaf-ring state -- and the recording itself
-        is written *inline*: at ~100k injections/s a single Python method
-        call costs more than the record it would make.  This loop is the
-        one blessed inline client of the tracer's leaf ring; the compact
-        tuple it appends must materialize exactly what
-        :meth:`Tracer.record_leaf` would have recorded, and
-        ``tests/telemetry/test_trace.py`` asserts the two paths produce
-        identical spans so they cannot drift apart.  When sampling is on,
-        the loop simply calls :meth:`Tracer.record_leaf` (the sampled-out
-        common case returns before any of the inlined work would happen).
-
-        Heartbeat ticks and ring-eviction drops are not counted per
-        injection at all: both are settled from the ``sent`` delta -- the
-        heartbeat at each pacing batch boundary (and loop exit), so
-        progress snapshots trail by at most one batch, and the tracer's
-        dropped count once at loop exit (every inline append past capacity
-        evicted exactly one record).
-        """
-        device = self._device
-        clock = device.clock
-        boots_before = device.boot_count
-        # An unbounded run compares against +inf so the loop needs no
-        # None-check per iteration.
-        max_intents = config.max_intents_per_component
-        if max_intents is None:
-            max_intents = float("inf")
-        tracer = t.tracer
-        metrics = t.metrics
-        perf_counter = time.perf_counter
-        _INTENTS_SITE.family(metrics)
-        handles: dict = {}
-        campaign_value = campaign.value
-        package = info.package
-        heartbeat = t.progress
-        heartbeat.count_injections(0)  # pin the rate baseline to campaign start
-        sampling = tracer.sample_every != 1
-        record_leaf = tracer.record_leaf
-        finished = tracer._finished
-        ring_capacity = finished.maxlen
-        finished_append = finished.append
-        next_id = tracer._ids.__next__
-        inject = self._inject
-        epilogue = self._injection_epilogue
-        intent_stream = _campaign_intents(campaign, info, config)
-        profiler = t.profiler
-        if profiler.enabled:
-            # Self-profiling: charge generation and dispatch to their own
-            # phases by substituting both hoisted callables, so the loop
-            # itself carries no profiler branch.
-            intent_stream = _profiled_generation(intent_stream, profiler)
-            inject = _profiled_dispatch(inject, profiler)
-        with tracer.span(
-            "component",
-            clock=clock,
-            component=result.component,
-            kind=info.kind.value,
-            campaign=campaign_value,
-        ):
-            # The open-span stack cannot change inside the loop (leaf spans
-            # never push), so the injection spans' parent is a constant.
-            stack = tracer._stack
-            parent_id = stack[-1].span_id if stack else None
-            # result.sent is mirrored in a local so the loop reads it once
-            # per iteration instead of three attribute loads.  Its deltas
-            # also stand in for per-iteration tick counters: _inject
-            # increments it exactly once per call.
-            sent = result.sent
-            sent_start = sent
-            hb_mark = sent
-            ring_len_start = len(finished)
-
-            def on_batch() -> None:
-                # Settle the heartbeat from the sent delta at each pacing
-                # batch boundary (the epilogue calls this at most once per
-                # batch, so it stays off the per-injection path).
-                nonlocal hb_mark
-                heartbeat.count_injections(result.sent - hb_mark)
-                hb_mark = result.sent
-
-            try:
-                for fuzz_intent in intent_stream:
-                    if sent >= max_intents:
-                        break
-                    start_wall = perf_counter()
-                    start_virtual = clock._now_ms
-                    outcome, _ = inject(info, fuzz_intent, result)
-                    end_wall = perf_counter()
-                    sent = result.sent
-                    if sampling:
-                        record_leaf(
-                            "injection",
-                            {"seq": sent, "outcome": outcome},
-                            start_wall,
-                            end_wall,
-                            start_virtual,
-                            clock._now_ms,
-                        )
-                    else:
-                        # Inline Tracer.record_leaf (see docstring): one
-                        # flat ring entry, attribute values trailing the
-                        # shared key tuple.  Eviction is the deque's own
-                        # maxlen drop; the dropped *count* is settled once
-                        # in the finally below, not per record.
-                        finished_append(
-                            (
-                                next_id(),
-                                parent_id,
-                                "injection",
-                                _LEAF_KEYS,
-                                start_wall,
-                                end_wall,
-                                start_virtual,
-                                clock._now_ms,
-                                sent,
-                                outcome,
-                            )
-                        )
-                    # Direct slot store: BoundCounter.inc(1) without the
-                    # call.  A handful of outcomes over thousands of
-                    # injections makes try/except cheaper than .get().
-                    try:
-                        handles[outcome].pending += 1
-                    except KeyError:
-                        handles[outcome] = handle = _INTENTS_SITE.bind(
-                            metrics, (campaign_value, package, outcome)
-                        )
-                        handle.pending += 1
-                    if not epilogue(result, config, clock, boots_before, on_batch):
-                        break
-            finally:
-                if sent != hb_mark:
-                    heartbeat.count_injections(sent - hb_mark)
-                if not sampling:
-                    # One inline append per injection: whatever the loop
-                    # pushed past capacity evicted that many records.
-                    overflow = ring_len_start + (sent - sent_start) - ring_capacity
-                    if overflow > 0:
-                        tracer._dropped += overflow
-
-    def _injection_epilogue(
-        self,
-        result: ComponentRunResult,
-        config: FuzzConfig,
-        clock,
-        boots_before: int,
-        on_batch: Optional[Callable[[], None]] = None,
-    ) -> bool:
-        """The instrumented loop's per-injection tail.
-
-        Kill-switch tick, the paper's pacing (intent delay plus the extra
-        batch delay every ``batch_size`` injections), reboot detection and
-        quarantine abort, step for step as :meth:`fuzz_component_coop`
-        does them.  *on_batch* fires at most once per pacing batch; the
-        instrumented loop uses it to settle its heartbeat delta.  Returns
-        ``False`` when the component loop must stop.
-        """
-        if self.kill_switch is not None:
-            self.kill_switch.tick()
-        clock.sleep(config.intent_delay_ms)
-        if result.sent % config.batch_size == 0:
-            clock.sleep(config.batch_delay_ms)
-            if on_batch is not None:
-                on_batch()
-        if self._device.boot_count != boots_before:
-            result.rebooted = True
-            result.aborted = True
-            return False
-        return not result.quarantined
 
     def _inject(
         self, info: ComponentInfo, fuzz_intent: FuzzIntent, result: ComponentRunResult
@@ -593,6 +568,49 @@ class FuzzerLibrary:
 
         Aborts the remaining components if the device reboots mid-run.
         """
+        t = self._device.runtime.telemetry
+        return self._fuzz_components(
+            package_name,
+            campaign,
+            config,
+            kinds,
+            self.fuzz_component,
+            t if t.enabled else None,
+        )
+
+    def fuzz_app_coop(
+        self,
+        package_name: str,
+        campaign: Campaign,
+        config: FuzzConfig = QUICK_CONFIG,
+        kinds: Sequence[ComponentKind] = (ComponentKind.ACTIVITY, ComponentKind.SERVICE),
+    ) -> AppRunResult:
+        """:meth:`fuzz_app` with nothing recorded: the fleet pair's entry point.
+
+        Fleet pairs account at the lane layer, so no span or metric is
+        recorded here even with telemetry on; the components, pacing and
+        abort order are :meth:`fuzz_app`'s own.
+        """
+        return self._fuzz_components(
+            package_name, campaign, config, kinds, self._fuzz_component_quiet, None
+        )
+
+    def _fuzz_components(
+        self,
+        package_name: str,
+        campaign: Campaign,
+        config: FuzzConfig,
+        kinds: Sequence[ComponentKind],
+        fuzz_one: Callable[[ComponentInfo, Campaign, FuzzConfig], ComponentRunResult],
+        t,
+    ) -> AppRunResult:
+        """Run *fuzz_one* over one app's components of the wanted *kinds*.
+
+        Skips an app the circuit breaker already quarantined and stops at
+        the first component that rebooted the device or was quarantined.
+        When the telemetry handle *t* is given the run sits in
+        ``campaign`` and ``package`` spans.
+        """
         package = self._device.packages.get_package(package_name)
         if package is None:
             raise ValueError(f"package not installed: {package_name}")
@@ -602,9 +620,8 @@ class FuzzerLibrary:
             return AppRunResult(package=package_name, campaign=campaign, quarantined=True)
         app_result = AppRunResult(package=package_name, campaign=campaign)
         wanted = set(kinds)
-        t = self._device.runtime.telemetry
         with contextlib.ExitStack() as stack:
-            if t.enabled:
+            if t is not None:
                 clock = self._device.clock
                 stack.enter_context(
                     t.tracer.span("campaign", clock=clock, campaign=campaign.value)
@@ -620,7 +637,7 @@ class FuzzerLibrary:
             for info in package.components:
                 if info.kind not in wanted:
                     continue
-                component_result = self.fuzz_component(info, campaign, config)
+                component_result = fuzz_one(info, campaign, config)
                 app_result.components.append(component_result)
                 if component_result.rebooted:
                     app_result.aborted_by_reboot = True
@@ -629,57 +646,6 @@ class FuzzerLibrary:
                     app_result.quarantined = True
                     break
         return app_result
-
-    def fuzz_app_coop(
-        self,
-        package_name: str,
-        campaign: Campaign,
-        config: FuzzConfig = QUICK_CONFIG,
-        kinds: Sequence[ComponentKind] = (ComponentKind.ACTIVITY, ComponentKind.SERVICE),
-    ) -> Generator[float, None, AppRunResult]:
-        """Cooperative :meth:`fuzz_app`: yields pacing deadlines, returns
-        the :class:`AppRunResult` via ``StopIteration``.
-
-        The fleet pair's entry point, run to completion by
-        :func:`~repro.android.clock.drive`.  Matches the telemetry-off
-        :meth:`fuzz_app` path exactly (telemetry spans are the blocking
-        paths' concern; fleet pairs account at the lane layer), including
-        the reboot/quarantine abort order.
-        """
-        package = self._device.packages.get_package(package_name)
-        if package is None:
-            raise ValueError(f"package not installed: {package_name}")
-        if self.quarantine.is_quarantined(package_name):
-            return AppRunResult(package=package_name, campaign=campaign, quarantined=True)
-        app_result = AppRunResult(package=package_name, campaign=campaign)
-        wanted = set(kinds)
-        for info in package.components:
-            if info.kind not in wanted:
-                continue
-            component_result = ComponentRunResult(
-                component=info.name.flatten_to_string(),
-                kind=info.kind,
-                campaign=campaign,
-            )
-            intents = _campaign_intents(campaign, info, config)
-            yield from self.fuzz_component_coop(info, intents, config, component_result)
-            app_result.components.append(component_result)
-            if component_result.rebooted:
-                app_result.aborted_by_reboot = True
-                break
-            if component_result.quarantined:
-                app_result.quarantined = True
-                break
-        return app_result
-
-    def fuzz_app_all_campaigns(
-        self,
-        package_name: str,
-        config: FuzzConfig = QUICK_CONFIG,
-        campaigns: Iterable[Campaign] = tuple(Campaign),
-    ) -> List[AppRunResult]:
-        """All four campaigns, one after another, as in the experiments."""
-        return [self.fuzz_app(package_name, campaign, config) for campaign in campaigns]
 
     # -- whole device -----------------------------------------------------------------
     def fuzz_device(

@@ -1,9 +1,10 @@
 """Every injection path must agree with every other, intent for intent.
 
 The fuzzer reaches a component through several entry points: the blocking
-``fuzz_component`` (telemetry off, telemetry on, and telemetry on with the
-self-profiler armed), the guided engine's ``fuzz_intent_stream`` and the
-fleet's cooperative ``fuzz_app_coop``.  Observers may differ -- spans,
+``fuzz_component`` (telemetry off, telemetry on, telemetry on with sampled
+spans, and telemetry on with the self-profiler armed), ``fuzz_app`` with
+its campaign and package spans, the guided engine's ``fuzz_intent_stream``
+and the fleet's ``fuzz_app_coop``.  Observers may differ -- spans,
 metrics, profiler phases -- but what the fuzzer *did* may not: the same
 per-component accounting (sent, delivered, crashes, ANRs, not-found,
 security, retries, transport, compat, reboot, abort, quarantine) and the
@@ -77,6 +78,10 @@ def _each_component(watch, package, run_one):
     return results
 
 
+def _app(watch, fuzzer, package, campaign, config):
+    return fuzzer.fuzz_app(package, campaign, config).components
+
+
 def _blocking(watch, fuzzer, package, campaign, config):
     return _each_component(
         watch, package, lambda info: fuzzer.fuzz_component(info, campaign, config)
@@ -97,13 +102,7 @@ def _stream(watch, fuzzer, package, campaign, config):
 
 
 def _coop(watch, fuzzer, package, campaign, config):
-    # Advance to every yielded deadline at once: a blocking sleep.
-    task = fuzzer.fuzz_app_coop(package, campaign, config)
-    try:
-        while True:
-            watch.clock.advance_to(next(task))
-    except StopIteration as stop:
-        return stop.value.components
+    return fuzzer.fuzz_app_coop(package, campaign, config).components
 
 
 def _telemetry(run, **session):
@@ -118,6 +117,8 @@ PATHS = {
     "fuzz_component-off": _blocking,
     "fuzz_component-telemetry": _telemetry(_blocking),
     "fuzz_component-profile": _telemetry(_blocking, profile=True),
+    "fuzz_component-sampled": _telemetry(_blocking, sample_every=100),
+    "fuzz_app-telemetry": _telemetry(_app),
     "fuzz_intent_stream": _stream,
     "fuzz_app_coop": _coop,
 }

@@ -146,7 +146,7 @@ class TestLeafFastPath:
         assert [s.attributes["seq"] for s in tracer.spans()] == [7, 8, 9]
 
     def test_inline_client_entry_materializes_like_record_leaf(self):
-        # The fuzzer's instrumented loop is the one blessed inline client
+        # The fuzzer's recording wrapper is the one blessed inline client
         # of the leaf ring: it appends compact tuples directly instead of
         # calling record_leaf.  This locks the entry layout (and the
         # materialized attribute order) to what record_leaf produces, so
