@@ -1,17 +1,10 @@
 """The log-driven analysis pipeline: parsing, root-causing, classification,
-and the generators for every table and figure in the paper."""
+and the generators for every table and figure in the paper.
 
-from repro.analysis.aging import (
-    ErrorSample,
-    RejuvenationPlan,
-    TrendResult,
-    aging_report,
-    damage_trajectory,
-    error_series,
-    mann_kendall_trend,
-    peak_damage,
-    plan_rejuvenation,
-)
+The software-aging extension (``repro.analysis.aging``) is not imported
+here: it needs numpy and scipy, and no report, study or service path uses
+it, so callers import it directly."""
+
 from repro.analysis.figures import (
     fig2_exception_distribution,
     fig3a_manifestations,
@@ -52,15 +45,6 @@ from repro.analysis.tables import (
 
 __all__ = [
     "AnrEvent",
-    "ErrorSample",
-    "RejuvenationPlan",
-    "TrendResult",
-    "aging_report",
-    "damage_trajectory",
-    "error_series",
-    "mann_kendall_trend",
-    "peak_damage",
-    "plan_rejuvenation",
     "ComponentRecord",
     "FatalExceptionEvent",
     "HandledExceptionEvent",

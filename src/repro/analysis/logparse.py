@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 # `06-20 10:00:01.234  1234  1234 E AndroidRuntime: message`
 _LINE_RE = re.compile(
@@ -39,6 +39,7 @@ _LINE_RE = re.compile(
 #: possibly with inner-class ``$`` parts.
 _EXC_CLASS = r"(?:[a-z][\w]*\.)+[A-Z][\w$]*(?:Exception|Error)"
 _EXC_RE = re.compile(rf"(?P<cls>{_EXC_CLASS})(?:: (?P<msg>.*))?$")
+_EXC_CLASS_RE = re.compile(rf"(?P<cls>{_EXC_CLASS})")
 _FRAME_RE = re.compile(r"^\t?at (?P<cls>[\w.$]+)\.(?P<method>[\w<>$-]+)\((?P<loc>[^)]*)\)$")
 _ANR_RE = re.compile(r"^ANR in (?P<process>\S+) \((?P<component>[^)]+)\)$")
 _NATIVE_RE = re.compile(
@@ -46,6 +47,17 @@ _NATIVE_RE = re.compile(
 )
 _REBOOT_RE = re.compile(r"^!!! SYSTEM REBOOT: (?P<reason>.*) !!!$")
 _CMP_RE = re.compile(r"cmp=(?P<cmp>[\w.$]+/[\w.$]+)")
+_DENIAL_TO_RE = re.compile(r" to ([\w.$]+/[\w.$]+)")
+
+
+def _names_exception(message: str) -> bool:
+    """Cheap exact prefilter for the exception-class searches.
+
+    ``_EXC_CLASS`` ends in the literal ``Exception`` or ``Error``, so a
+    message without either cannot match; skipping it spares the search its
+    backtracking over long dotted, exception-free lines.
+    """
+    return "Exception" in message or "Error" in message
 
 
 def _parse_time_ms(match: "re.Match[str]") -> float:
@@ -158,10 +170,19 @@ def parse_lines(text: str) -> Iterator[LogLine]:
         )
 
 
+#: ``(text, lines)`` of the last :func:`parse_events` call, taken by the
+#: :func:`attach_handled_frames` pass over the same text so that the text is
+#: tokenised once.  Keyed on identity; a missing or other entry (another
+#: caller, another thread) only costs a re-tokenise.
+_last_parse: Tuple[Optional[str], List[LogLine]] = (None, [])
+
+
 def parse_events(text: str) -> List[LogEvent]:
     """Extract the full event stream from logcat text."""
+    global _last_parse
     events: List[LogEvent] = []
     lines = list(parse_lines(text))
+    _last_parse = (text, lines)
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -274,8 +295,8 @@ def _try_single_line(line: LogLine, events: List[LogEvent]) -> int:
             SecurityDenialEvent(time_ms=line.time_ms, detail=detail, component=component)
         )
         return 1
-    if line.level in ("W", "E"):
-        found = re.search(rf"(?P<cls>{_EXC_CLASS})(?:: (?P<msg>.*))?$", message)
+    if line.level in ("W", "E") and _names_exception(message):
+        found = _EXC_RE.search(message)
         if found and not message.startswith(("Caused by",)):
             events.append(
                 HandledExceptionEvent(
@@ -301,7 +322,7 @@ def _expand_component(short: str) -> str:
 
 def _component_from_denial(detail: str) -> Optional[str]:
     """Pull a target component out of a denial detail, if present."""
-    match = re.search(r" to ([\w.$]+/[\w.$]+)", detail)
+    match = _DENIAL_TO_RE.search(detail)
     if match:
         return _expand_component(match.group(1))
     return None
@@ -314,23 +335,34 @@ def attach_handled_frames(text: str, events: List[LogEvent]) -> None:
     Handled-exception warnings are logged as a small block -- the exception
     line followed by a few frame lines under the same tag/pid.  The frames
     carry the throwing component's class, which the classifier needs for
-    attribution.
+    attribution.  The lines are the ones :func:`parse_events` tokenised
+    from the same *text*; a text with no handled exception is not read.
     """
-    lines = list(parse_lines(text))
+    global _last_parse
+    parsed_text, lines = _last_parse
+    _last_parse = (None, [])
     by_key = {}
     for event in events:
         if isinstance(event, HandledExceptionEvent):
             by_key.setdefault((event.pid, event.exception_class), []).append(event)
+    if not by_key:
+        return
+    if parsed_text is not text:
+        lines = list(parse_lines(text))
     pending: Optional[HandledExceptionEvent] = None
     queue_index = {}
     for line in lines:
-        frame = _FRAME_RE.match(line.message)
-        if frame is not None and pending is not None and line.pid == pending.pid:
-            pending.frames.append(frame.group("cls"))
-            continue
-        found = re.search(rf"(?P<cls>{_EXC_CLASS})", line.message)
+        message = line.message
+        if pending is not None and line.pid == pending.pid:
+            frame = _FRAME_RE.match(message)
+            if frame is not None:
+                pending.frames.append(frame.group("cls"))
+                continue
         pending = None
-        if found and line.level in ("W", "E"):
+        if line.level not in ("W", "E") or not _names_exception(message):
+            continue
+        found = _EXC_CLASS_RE.search(message)
+        if found:
             key = (line.pid, found.group("cls"))
             queue = by_key.get(key)
             if queue:

@@ -22,12 +22,19 @@ D          **Random Extras**: for each action, a valid {Action, Data} pair
 Generators are pure and deterministic given (campaign, component, seed), so
 a run can be replayed injection-for-injection.  ``stride`` subsamples a
 campaign for quick-scale runs while preserving its corruption profile.
+
+Campaigns A and B draw no randomness and name no component, so each
+(campaign, stride) table is built once per process and shared: a
+:class:`FuzzIntent` is frozen.  Campaigns C and D draw every index's random
+payload (the stream must not depend on the stride) but build an intent only
+for the indices the stride keeps.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import random
 import string
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -90,7 +97,8 @@ class FuzzIntent:
 
 def random_ascii(rng: random.Random, min_len: int = 3, max_len: int = 24) -> str:
     length = rng.randint(min_len, max_len)
-    return "".join(rng.choice(_RANDOM_CHARS) for _ in range(length))
+    choice = rng.choice
+    return "".join([choice(_RANDOM_CHARS) for _ in range(length)])
 
 
 def _random_extra_value(rng: random.Random) -> object:
@@ -121,23 +129,35 @@ def generate_campaign_b() -> Iterator[FuzzIntent]:
         yield FuzzIntent(action=None, data=URI_SAMPLES[scheme])
 
 
-def generate_campaign_c(rng: random.Random, rounds: int = CAMPAIGN_C_ROUNDS) -> Iterator[FuzzIntent]:
-    """One side valid, the other random garbage."""
+def _campaign_c_fields(rng: random.Random, rounds: int = CAMPAIGN_C_ROUNDS) -> Iterator[Tuple]:
+    """One side valid, the other random garbage: ``(action, data, extras)``."""
     for _ in range(rounds):
         for action in ALL_ACTIONS:
-            yield FuzzIntent(action=action, data=random_ascii(rng))
+            yield action, random_ascii(rng), ()
         for scheme in URI_TYPES:
-            yield FuzzIntent(action=random_ascii(rng), data=URI_SAMPLES[scheme])
+            yield random_ascii(rng), URI_SAMPLES[scheme], ()
 
 
-def generate_campaign_d(rng: random.Random) -> Iterator[FuzzIntent]:
+def _campaign_d_fields(rng: random.Random) -> Iterator[Tuple]:
     """Valid {Action, Data} pairs decorated with 1-5 random extras."""
     for action, data in valid_pairs():
         extras = tuple(
             (f"extra_{i}", _random_extra_value(rng))
             for i in range(rng.randint(1, 5))
         )
-        yield FuzzIntent(action=action, data=data or None, extras=extras)
+        yield action, data or None, extras
+
+
+#: Campaign A and B intents per ``(campaign, stride)``, built on first use.
+_TABLES: Dict[Tuple[Campaign, int], Tuple[FuzzIntent, ...]] = {}
+
+
+def _table(campaign: Campaign, stride: int) -> Tuple[FuzzIntent, ...]:
+    table = _TABLES.get((campaign, stride))
+    if table is None:
+        source = generate_campaign_a() if campaign == Campaign.A else generate_campaign_b()
+        table = _TABLES[(campaign, stride)] = tuple(itertools.islice(source, 0, None, stride))
+    return table
 
 
 def generate(
@@ -154,21 +174,19 @@ def generate(
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    if campaign == Campaign.A or campaign == Campaign.B:
+        yield from _table(campaign, stride)
+        return
     key = f"{campaign.value}|{component.flatten_to_string() if component else ''}|{seed}"
     rng = random.Random(key)
-    if campaign == Campaign.A:
-        source: Iterator[FuzzIntent] = generate_campaign_a()
-    elif campaign == Campaign.B:
-        source = generate_campaign_b()
-    elif campaign == Campaign.C:
-        source = generate_campaign_c(rng)
+    if campaign == Campaign.C:
+        source = _campaign_c_fields(rng)
     elif campaign == Campaign.D:
-        source = generate_campaign_d(rng)
+        source = _campaign_d_fields(rng)
     else:  # pragma: no cover - exhaustive enum
         raise ValueError(f"unknown campaign: {campaign}")
-    for index, fuzz_intent in enumerate(source):
-        if index % stride == 0:
-            yield fuzz_intent
+    for fields in itertools.islice(source, 0, None, stride):
+        yield FuzzIntent(*fields)
 
 
 def campaign_size(campaign: Campaign, stride: int = 1) -> int:

@@ -215,11 +215,12 @@ def _recording_inject(
     materializes exactly what :meth:`Tracer.record_leaf` would have
     recorded.  When sampling is on it simply calls ``record_leaf``.
 
-    Heartbeat ticks and ring-eviction drops are settled from ``sent``
+    Heartbeat ticks and the ring's append count are settled from ``sent``
     deltas, not counted per injection: the heartbeat at the first call
     after each pacing batch (the loop has slept the batch delay by then)
-    and in ``settle``, the tracer's dropped count once in ``settle``
-    (every inline append past capacity evicted exactly one record).
+    and in ``settle``, the append count once in ``settle`` (the tracer
+    derives ``dropped`` from it, so spans other code appends mid-loop,
+    such as fault spans, are evicted and counted like any other record).
     """
     tracer = t.tracer
     metrics = t.metrics
@@ -232,14 +233,12 @@ def _recording_inject(
     heartbeat.count_injections(0)  # pin the rate baseline to campaign start
     sampling = tracer.sample_every != 1
     record_leaf = tracer.record_leaf
-    finished = tracer._finished
-    finished_append = finished.append
+    finished_append = tracer._finished.append
     next_id = tracer._ids.__next__
     # The open-span stack cannot change while the loop runs (leaf spans
     # never push), so the injection spans' parent is a constant.
     stack = tracer._stack
     parent_id = stack[-1].span_id if stack else None
-    ring_len_start = len(finished)
     # _inject increments result.sent exactly once per call, so its deltas
     # stand in for per-call tick counters.
     sent_start = hb_mark = result.sent
@@ -267,7 +266,7 @@ def _recording_inject(
         else:
             # Inline Tracer.record_leaf (see docstring): one flat ring
             # entry, attribute values trailing the shared key tuple.
-            # Eviction is the deque's own maxlen drop; the dropped *count*
+            # Eviction is the deque's own maxlen drop; the append count
             # is settled once in settle(), not per record.
             finished_append(
                 (
@@ -300,11 +299,7 @@ def _recording_inject(
         if sent != hb_mark:
             heartbeat.count_injections(sent - hb_mark)
         if not sampling:
-            # One inline append per injection: whatever the loop pushed
-            # past capacity evicted that many records.
-            overflow = ring_len_start + (sent - sent_start) - finished.maxlen
-            if overflow > 0:
-                tracer._dropped += overflow
+            tracer._appended += sent - sent_start  # one inline append per injection
 
     return recorded, settle
 

@@ -17,10 +17,11 @@ import json
 
 import pytest
 
-from repro import telemetry
+from repro import faults, telemetry
 from repro.apps.catalog import build_wear_corpus
+from repro.faults.plan import FaultPlan
 from repro.qgj.campaigns import Campaign
-from repro.qgj.fuzzer import QUICK_CONFIG, FuzzerLibrary
+from repro.qgj.fuzzer import QUICK_CONFIG, FuzzConfig, FuzzerLibrary
 from repro.telemetry.metrics import INTENTS_INJECTED
 from repro.wear.device import WearDevice
 
@@ -103,3 +104,24 @@ def test_variants_take_the_branches_they_are_named_for(corpus):
     assert overflow["dropped"] == len(ring["spans"]) - 256
     assert sampled["sampled_out"] > 0
     assert len(sampled["spans"]) < len(ring["spans"])
+
+
+def test_dropped_counts_spans_appended_inside_the_component_loop(corpus):
+    """Fault spans recorded mid-loop share the ring with the injection
+    records: every span recorded is either retained or counted dropped."""
+    package = "com.runmate.wear"
+    config = FuzzConfig(max_intents_per_component=40)
+    counts = []
+    for capacity in (1 << 16, 64):
+        watch = WearDevice("watch")
+        corpus.install(watch, only=(package,))
+        fuzzer = FuzzerLibrary(watch)
+        with faults.session(FaultPlan(seed=3, binder_every_ms=300)):
+            with telemetry.session(span_capacity=capacity) as t:
+                fuzzer.fuzz_app(package, Campaign.B, config)
+                counts.append((len(t.tracer), t.tracer.dropped))
+    (recorded, none_dropped), (retained, dropped) = counts
+    assert none_dropped == 0 and recorded > 64
+    assert any(span.name == "fault" for span in t.tracer.spans())
+    assert retained == 64
+    assert retained + dropped == recorded
